@@ -89,11 +89,36 @@ def _digest(value: Any, depth: int = 0) -> str:
         items = sorted(value.items(), key=lambda kv: repr(kv[0]))
         return "{" + ",".join(f"{_digest(k, depth + 1)}:{_digest(v, depth + 1)}"
                               for k, v in items) + "}"
-    inner = getattr(value, "__dict__", None)
+    inner = _instance_state(value)
     if inner is not None:
         return "(" + ",".join(f"{k}={_digest(v, depth + 1)}"
                               for k, v in sorted(inner.items())) + ")"
     return repr(value)
+
+
+def _instance_state(value: Any) -> Optional[Dict[str, Any]]:
+    """``value``'s attributes: its ``__dict__`` plus every ``__slots__``
+    entry declared across its MRO (a slotted entry mutated in place must
+    change the digest too).  Unset slots are left out; None when the
+    object has neither."""
+    inner = getattr(value, "__dict__", None)
+    state = dict(inner) if inner is not None else None
+    for klass in type(value).__mro__:
+        slots = klass.__dict__.get("__slots__", ())
+        for name in (slots,) if isinstance(slots, str) else slots:
+            if name in ("__dict__", "__weakref__"):
+                continue
+            if name.startswith("__") and not name.endswith("__"):
+                # a private slot is stored under its mangled name
+                name = f"_{klass.__name__.lstrip('_')}{name}"
+            try:
+                attr = getattr(value, name)
+            except AttributeError:
+                continue
+            if state is None:
+                state = {}
+            state[name] = attr
+    return state
 
 
 def _probe(value: Any) -> _Fingerprint:

@@ -15,8 +15,9 @@ touching default determinism.
 from __future__ import annotations
 
 import heapq
+import sys
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.obs.bus import NULL_BUS, NullBus
 
@@ -26,12 +27,14 @@ from repro.obs.bus import NULL_BUS, NullBus
 TieBreaker = Callable[["List[Event]"], int]
 
 
-@dataclass(order=True)
+@dataclass(eq=False, slots=True)
 class Event:
     """A scheduled callback.
 
-    Events compare by ``(time, seq)`` so that heap ordering is total and
-    deterministic.  ``cancelled`` supports O(1) cancellation (the event stays
+    The simulator's heap holds ``(time, seq, event)`` entries, so ordering
+    is total and deterministic and every comparison is a C-level tuple
+    compare on two ints (``seq`` is unique, so the event itself is never
+    compared).  ``cancelled`` supports O(1) cancellation (the event stays
     in the heap but is skipped when popped).  ``tag`` is optional metadata
     (e.g. which message delivery this is) that schedule exploration uses to
     decide which same-cycle reorderings are physically meaningful; it never
@@ -40,12 +43,12 @@ class Event:
 
     time: int
     seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    tag: Any = field(default=None, compare=False)
+    callback: Callable[[], None]
+    cancelled: bool = False
+    tag: Any = None
     #: Owning simulator, so cancellation can maintain its O(1) live-event
     #: counter without a heap scan.
-    owner: Optional["Simulator"] = field(default=None, compare=False, repr=False)
+    owner: Optional["Simulator"] = field(default=None, repr=False)
 
     def cancel(self) -> None:
         """Mark the event so the simulator skips it when its time arrives."""
@@ -53,6 +56,11 @@ class Event:
             self.cancelled = True
             if self.owner is not None:
                 self.owner._live_events -= 1
+
+
+def _livelock(max_events: Optional[int], now: int) -> RuntimeError:
+    return RuntimeError(f"simulation exceeded max_events={max_events} at "
+                        f"cycle {now}; possible livelock")
 
 
 class Simulator:
@@ -67,7 +75,8 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: int = 0
-        self._heap: list[Event] = []
+        #: ``(time, seq, event)`` entries: tuples of two ints compare in C.
+        self._heap: List[Tuple[int, int, Event]] = []
         self._seq: int = 0
         self._events_processed: int = 0
         #: Count of not-yet-cancelled queued events, maintained on
@@ -102,11 +111,12 @@ class Simulator:
         """Schedule ``callback`` at absolute cycle ``time`` (>= now)."""
         if time < self.now:
             raise ValueError(f"cannot schedule in the past ({time} < {self.now})")
-        ev = Event(time=int(time), seq=self._seq, callback=callback, tag=tag,
-                   owner=self)
-        self._seq += 1
+        time = int(time)
+        seq = self._seq
+        ev = Event(time, seq, callback, False, tag, self)
+        self._seq = seq + 1
         self._live_events += 1
-        heapq.heappush(self._heap, ev)
+        heapq.heappush(self._heap, (time, seq, ev))
         return ev
 
     # ------------------------------------------------------------------
@@ -115,7 +125,7 @@ class Simulator:
     def step(self) -> bool:
         """Run the next pending event.  Returns False when the queue is empty."""
         while self._heap:
-            ev = heapq.heappop(self._heap)
+            ev = heapq.heappop(self._heap)[2]
             if ev.cancelled:
                 continue
             if self.tie_breaker is not None:
@@ -146,8 +156,8 @@ class Simulator:
         tie-breaker choose; the others are re-queued with their original
         (time, seq) so relative order among them is preserved."""
         batch = [first]
-        while self._heap and self._heap[0].time == first.time:
-            ev = heapq.heappop(self._heap)
+        while self._heap and self._heap[0][0] == first.time:
+            ev = heapq.heappop(self._heap)[2]
             if not ev.cancelled:
                 batch.append(ev)
         if len(batch) == 1:
@@ -158,7 +168,7 @@ class Simulator:
             raise IndexError(f"tie-breaker chose {idx} of {len(batch)}")
         chosen = batch.pop(idx)
         for ev in batch:
-            heapq.heappush(self._heap, ev)
+            heapq.heappush(self._heap, (ev.time, ev.seq, ev))
         return chosen
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> None:
@@ -185,13 +195,14 @@ class Simulator:
         """
         heap = self._heap
         pop = heapq.heappop
+        limit = sys.maxsize if max_events is None else max_events
         processed = 0
         while heap:
-            head = heap[0]
+            t, _, head = heap[0]
             if head.cancelled:
                 pop(heap)
                 continue
-            if until is not None and head.time > until:
+            if until is not None and t > until:
                 self.now = until
                 return
             if (self.tie_breaker is not None or self.obs.enabled
@@ -199,24 +210,20 @@ class Simulator:
                 if not self.step():
                     break
                 processed += 1
-                if max_events is not None and processed >= max_events:
-                    raise RuntimeError(
-                        f"simulation exceeded max_events={max_events} at "
-                        f"cycle {self.now}; possible livelock"
-                    )
+                if processed >= limit:
+                    raise _livelock(max_events, self.now)
                 continue
             # Fast path: drain the whole cycle.  Events are popped one at a
             # time (not batch-collected), so a callback that raises leaves
             # the rest of the cycle queued exactly as step() would, and a
             # callback that cancels a later same-cycle event is honoured by
             # the per-event cancelled check.
-            t = head.time
             self.now = t
-            while heap and heap[0].time == t:
+            while heap and heap[0][0] == t:
                 if (self.tie_breaker is not None or self.obs.enabled
                         or self.profiler is not None):
                     break  # a callback installed a hook: resume stepwise
-                ev = pop(heap)
+                ev = pop(heap)[2]
                 if ev.cancelled:
                     continue
                 self._live_events -= 1
@@ -226,18 +233,10 @@ class Simulator:
                 ev.callback()
                 self._events_processed += 1
                 processed += 1
-                if max_events is not None and processed >= max_events:
-                    raise RuntimeError(
-                        f"simulation exceeded max_events={max_events} at "
-                        f"cycle {self.now}; possible livelock"
-                    )
+                if processed >= limit:
+                    raise _livelock(max_events, self.now)
         if until is not None and until > self.now:
             self.now = until
-
-    def _peek_time(self) -> Optional[int]:
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
 
     # ------------------------------------------------------------------
     # Introspection

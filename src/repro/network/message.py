@@ -29,13 +29,26 @@ messages), SmallCMessage (all other commit messages).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Dict, NamedTuple, Optional, Tuple
 
 
-class TrafficClass(Enum):
+class _IdentityEnum(Enum):
+    """An enum hashed by identity.
+
+    ``Enum.__hash__`` is a Python-level ``hash(self._name_)``, and every
+    message hashes its type and class several times (stats counters,
+    handler dispatch), so that call is a measurable share of host time.
+    Enum equality is already identity, so identity hashing is consistent.
+    """
+
+    __hash__ = object.__hash__
+
+
+class TrafficClass(_IdentityEnum):
     """Message categories from the paper's traffic characterization."""
 
     MEM_RD = "MemRd"                    #: cache-line read satisfied by memory
@@ -48,7 +61,7 @@ class TrafficClass(Enum):
                                         #: classes; our figure renderer does too)
 
 
-class MessageType(Enum):
+class MessageType(_IdentityEnum):
     """All message types across the substrate and the four protocols."""
 
     # --- coherence substrate (read misses; writes are lazy) -------------
@@ -100,6 +113,11 @@ class MessageType(Enum):
     SEQ_INV_ACK = "seq_inv_ack"           #: Proc -> Dir
     SEQ_DONE = "seq_done"                 #: Dir -> Proc: this module finished
     SEQ_RELEASE = "seq_release"           #: Proc -> Dir: free the module (abort)
+
+    # Per-type wire constants, resolved once at import (below the tables).
+    wire_bytes: int
+    traffic_class: TrafficClass
+    is_commit: bool
 
 
 #: Byte sizes.  Signature-carrying messages are "large"; control messages
@@ -166,6 +184,15 @@ def traffic_class_of(mtype: MessageType) -> TrafficClass:
     return TrafficClass.OTHER
 
 
+# Resolve each type's wire constants once, from the two functions above, so
+# building a Message reads three attributes instead of re-deriving them.
+for _mtype in MessageType:
+    _mtype.wire_bytes = default_size_bytes(_mtype)
+    _mtype.traffic_class = traffic_class_of(_mtype)
+    _mtype.is_commit = _mtype in _COMMIT_TYPES
+del _mtype
+
+
 #: The three addressable roles on the NoC — processor engine, directory
 #: module, centralized agent (BulkSC arbiter / TCC TID vendor).  Protocol
 #: specs (:mod:`repro.protocols.spec`) and the SB6xx flow analysis use
@@ -187,10 +214,14 @@ class NodeRef(NamedTuple):
         return f"{self.kind}{self.index}"
 
 
+# Endpoints are immutable, so every send reuses one NodeRef per endpoint
+# instead of building a fresh tuple (one cache entry per index in use).
+@functools.cache
 def core_node(i: int) -> NodeRef:
     return NodeRef("core", i)
 
 
+@functools.cache
 def dir_node(i: int) -> NodeRef:
     return NodeRef("dir", i)
 
@@ -203,7 +234,7 @@ def arbiter_node(center_tile: int) -> NodeRef:
 _msg_counter = itertools.count()
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """One packet on the NoC."""
 
@@ -214,15 +245,16 @@ class Message:
     payload: Dict[str, Any] = field(default_factory=dict)
     size_bytes: int = 0
     traffic_class: TrafficClass = TrafficClass.SMALL_COMMIT
-    uid: int = field(default_factory=lambda: next(_msg_counter))
+    uid: int = field(default_factory=_msg_counter.__next__)
     sent_at: int = -1
     is_commit_traffic: bool = True
 
     def __post_init__(self) -> None:
+        mtype = self.mtype
         if self.size_bytes == 0:
-            self.size_bytes = default_size_bytes(self.mtype)
-        self.traffic_class = traffic_class_of(self.mtype)
-        self.is_commit_traffic = self.mtype in _COMMIT_TYPES
+            self.size_bytes = mtype.wire_bytes
+        self.traffic_class = mtype.traffic_class
+        self.is_commit_traffic = mtype.is_commit
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"Message({self.mtype.value}, {self.src}->{self.dst}, "

@@ -19,11 +19,14 @@ for the paper's Figures 18/19.
 from __future__ import annotations
 
 from collections import Counter
+from functools import partial
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.config import SystemConfig
 from repro.engine.events import Simulator
-from repro.network.message import Message, MessageType, NodeRef, TrafficClass
+from repro.network.message import (
+    ROLES, Message, MessageType, NodeRef, TrafficClass,
+)
 from repro.network.topology import Torus2D
 from repro.obs.bus import NULL_BUS, NullBus
 
@@ -68,11 +71,13 @@ class TrafficStats:
         self.total_hops = 0
 
     def record(self, msg: Message, latency: int, hops: int) -> None:
-        self.messages_by_class[msg.traffic_class] += 1
-        self.bytes_by_class[msg.traffic_class] += msg.size_bytes
+        cls = msg.traffic_class
+        size = msg.size_bytes
+        self.messages_by_class[cls] += 1
+        self.bytes_by_class[cls] += size
         self.messages_by_type[msg.mtype] += 1
         self.total_messages += 1
-        self.total_bytes += msg.size_bytes
+        self.total_bytes += size
         self.total_latency += latency
         self.total_hops += hops
 
@@ -84,6 +89,20 @@ class TrafficStats:
         return self.total_latency / self.total_messages if self.total_messages else 0.0
 
 
+class _TileMap(Dict[NodeRef, int]):
+    """NodeRef -> tile, filled on first lookup (see :meth:`Network.tile_of`)."""
+
+    def __init__(self, n_tiles: int) -> None:
+        super().__init__()
+        self.n_tiles = n_tiles
+
+    def __missing__(self, node: NodeRef) -> int:
+        if node.kind not in ROLES:
+            raise ValueError(f"unknown node kind {node.kind}")
+        tile = self[node] = node.index % self.n_tiles
+        return tile
+
+
 class Network:
     """2D-torus network connecting cores, directories and central agents."""
 
@@ -93,6 +112,7 @@ class Network:
         rows, cols = config.mesh_shape
         self.topology = Torus2D(rows, cols)
         self._handlers: Dict[NodeRef, Handler] = {}
+        self._tiles = _TileMap(self.topology.n_tiles)
         self.stats = TrafficStats()
         self.contention = config.network_contention
         #: Exploration hook: perturbs delivery latency (None = the exact
@@ -139,9 +159,7 @@ class Network:
         Cores and directories are co-located index-to-tile; central agents
         live at the tile recorded in their index.
         """
-        if node.kind in ("core", "dir", "agent"):
-            return node.index % self.topology.n_tiles
-        raise ValueError(f"unknown node kind {node.kind}")
+        return self._tiles[node]
 
     # ------------------------------------------------------------------
     # Sending
@@ -165,7 +183,8 @@ class Network:
             prof.exit()
 
     def _send(self, msg: Message, handler: Handler) -> int:
-        msg.sent_at = self.sim.now
+        sim = self.sim
+        now = msg.sent_at = sim.now
         latency, hops = self._transit_time(msg)
         if self.delay_hook is not None:
             latency += max(0, int(self.delay_hook(msg, latency)))
@@ -175,31 +194,30 @@ class Network:
         # message computes a shorter transit than a large one in flight
         # on the same flow; the clamp is what keeps the channel FIFO.
         flow = (msg.src, msg.dst)
-        deliver_at = max(self.sim.now + latency,
-                         self._last_delivery.get(flow, 0))
+        deliver_at = max(now + latency, self._last_delivery.get(flow, 0))
         self._last_delivery[flow] = deliver_at
-        latency = deliver_at - self.sim.now
+        latency = deliver_at - now
         self.stats.record(msg, latency, hops)
-        if self.obs.enabled:
+        tag = ("deliver", msg.src, msg.dst, msg.uid)
+        obs = self.obs
+        if obs.enabled:
             # Same (time, seq, tag) as the uninstrumented path: the only
             # difference is the recv hook firing inside the delivery.
-            self.obs.msg_send(self.sim.now, msg, latency, hops)
-            obs = self.obs
+            obs.msg_send(now, msg, latency, hops)
 
             def _deliver(m: Message = msg, h: Handler = handler) -> None:
-                obs.msg_recv(self.sim.now, m)
+                obs.msg_recv(sim.now, m)
                 h(m)
 
-            self.sim.schedule(latency, _deliver,
-                              tag=("deliver", msg.src, msg.dst, msg.uid))
+            sim.schedule_at(deliver_at, _deliver, tag=tag)
         else:
-            self.sim.schedule(latency, lambda m=msg, h=handler: h(m),
-                              tag=("deliver", msg.src, msg.dst, msg.uid))
+            sim.schedule_at(deliver_at, partial(handler, msg), tag=tag)
         return latency
 
     def _transit_time(self, msg: Message) -> tuple:
-        src_tile = self.tile_of(msg.src)
-        dst_tile = self.tile_of(msg.dst)
+        tiles = self._tiles
+        src_tile = tiles[msg.src]
+        dst_tile = tiles[msg.dst]
         if src_tile == dst_tile:
             return 1, 0
 

@@ -20,8 +20,10 @@ at the hot triangle the ROADMAP's compiled-core item targets —
 wall time, *self* time with nested scopes subtracted).  Because the
 scopes nest (a directory handler intersects signatures and sends NoC
 messages, all inside one dispatched event), the self-time shares plus
-the unprofiled remainder ("other": heap ops, workload generation, stats)
-sum to 100% of run wall time by construction.
+the unprofiled remainder ("other") sum to 100% of run wall time by
+construction.  Every event callback runs inside ``engine.dispatch``, so
+core, workload and stats work done by events is charged there; "other"
+is cache prewarm, core start-up and the dispatch loop's own heap pops.
 
 **Quarantine rule.**  This is the one module (with the benchmark
 harness) allowed to read the host clock — every ``perf_counter_ns`` call
@@ -59,8 +61,9 @@ SIG_INSERT = "sig.insert"
 SIG_MEMBER = "sig.member"
 SIG_INTERSECT = "sig.intersect"
 
-#: Share of wall time outside every profiled scope (event-queue heap
-#: operations, core/workload callbacks' own work, stats, interpreter).
+#: Share of wall time outside every profiled scope: cache prewarm, core
+#: start-up and the dispatch loop's own heap pops (event callbacks, with
+#: their core, workload and stats work, run inside ``engine.dispatch``).
 OTHER = "other"
 
 HOT_SCOPES = (ENGINE_DISPATCH, NOC_TRANSIT, DIR_HANDLER, SIG_INSERT,
@@ -257,7 +260,7 @@ class ProfileReport:
 
         walk(None, 0)
         other = self.shares()[OTHER]
-        lines.append(f"  {OTHER + ' (unprofiled: heap, cores, stats)':28s} "
+        lines.append(f"  {OTHER + ' (prewarm, start-up, event loop)':28s} "
                      f"{'-':>12s} {'-':>10s} "
                      f"{self._fmt_ns(self.wall_ns * other / 100):>10s} "
                      f"{other:5.1f}% {'#' * max(0, min(20, round(other / 5)))}")

@@ -93,10 +93,10 @@ class TestCancellation:
         events[3].cancel()
         events[3].cancel()  # double-cancel must not decrement twice
         events[7].cancel()
-        scan = sum(1 for ev in sim._heap if not ev.cancelled)
+        scan = sum(1 for _, _, ev in sim._heap if not ev.cancelled)
         assert sim.pending_events == scan == 8
         sim.run(until=4)  # executes t=0..4 minus the cancelled t=3
-        scan = sum(1 for ev in sim._heap if not ev.cancelled)
+        scan = sum(1 for _, _, ev in sim._heap if not ev.cancelled)
         assert sim.pending_events == scan == 4
         sim.run()
         assert sim.pending_events == 0
@@ -184,3 +184,26 @@ class TestRunControl:
         sim.run()
         assert order == ["outer", "inner"]
         assert sim.now == 1
+
+
+class TestTieBreaker:
+    def test_batch_in_seq_order_and_requeue_keeps_it(self):
+        """The hook sees the live same-cycle events in (time, seq) order,
+        and the ones it passes over return to the heap in that order."""
+        sim = Simulator()
+        fired = []
+        sim.schedule(3, lambda: fired.append("early"))
+        evs = [sim.schedule(5, lambda n=n: fired.append(n)) for n in range(4)]
+        evs[1].cancel()
+        seen = []
+
+        def pick_last(batch):
+            seen.append([ev.seq for ev in batch])
+            return len(batch) - 1
+
+        sim.tie_breaker = pick_last
+        sim.run()
+        s0, _, s2, s3 = (ev.seq for ev in evs)
+        assert seen == [[s0, s2, s3], [s0, s2]]
+        assert fired == ["early", 3, 2, 0]
+        assert sim.pending_events == 0

@@ -10,8 +10,10 @@ from repro.analysis.explore.mutations import Mutation
 from repro.analysis.explore.scenarios import SCENARIOS
 from repro.analysis.explore.driver import run_schedule
 from repro.analysis.races.sanitizer import AccessSanitizer, _classify, _probe
+from repro.baselines.bulksc import _InFlight
 from repro.obs import NULL_BUS, InstrumentationBus
 from repro.obs.bus import STATE_ACCESS
+from repro.signatures.bulk_signature import SignatureFactory
 
 #: one scenario per protocol family (acceptance: all four unperturbed)
 ALL_PROTOCOL_SCENARIOS = ("cross3", "tcc3", "bulksc3", "seq3")
@@ -120,6 +122,44 @@ class TestFingerprints:
         before = _probe(table)
         table[7].acks = 3
         assert _probe(table) != before
+
+    def test_slotted_inplace_mutation_is_a_write(self):
+        """Slotted state is walked across the MRO, not repr()'d: BulkSC's
+        in-flight entry losing a pending directory is a ``write``."""
+        entry = _InFlight(cid=("c", 0), proc=0, w_sig=None, r_sig=None,
+                          write_lines=(), dirs_pending={1, 2})
+        table = {("c", 0): entry}
+        before = _probe(table)
+        entry.dirs_pending.discard(1)
+        after = _probe(table)
+        assert after != before and _classify(before, after) == "write"
+
+    def test_slots_across_mro_and_mangled_names(self):
+        class Base:
+            __slots__ = ("__hidden",)
+
+            def __init__(self):
+                self.__hidden = [0]
+
+            def bump(self):
+                self.__hidden[0] += 1
+
+        class Child(Base):
+            __slots__ = "extra"
+
+        obj = Child()
+        before = _probe([obj])
+        obj.extra = 1  # an unset slot being set
+        after_set = _probe([obj])
+        obj.bump()
+        assert len({before, after_set, _probe([obj])}) == 3
+
+    def test_signature_bits_mutated_in_place(self):
+        sig = SignatureFactory().empty()
+        before = _probe({0: sig})
+        sig.insert(0x1234)
+        after = _probe({0: sig})
+        assert after != before and _classify(before, after) == "write"
 
     def test_classify_polarity(self):
         empty, one = _probe(set()), _probe({1})
