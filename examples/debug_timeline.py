@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Trace a chunk's life through the protocol.
 
-Attaches the chunk tracer to a small contended machine, runs it, and
+Attaches an instrumentation bus to a small contended machine, runs it, and
 prints (1) the machine-wide event summary and (2) the full timeline of one
 chunk that lost a group-formation collision and retried — the debugging
 workflow for protocol investigations.
@@ -11,7 +11,21 @@ Run:  python examples/debug_timeline.py
 
 from repro import Machine, ProtocolKind, SystemConfig
 from repro.cpu.chunk import ChunkAccess, ChunkSpec
-from repro.tracing import attach_tracer
+from repro.obs.bus import InstrumentationBus, attach_bus, ctag_str
+
+
+def chunk_of(event) -> str:
+    """The chunk an event belongs to (commit ids render as ``tag#attempt``)."""
+    return ctag_str(event.ctag).split("#")[0]
+
+
+def timeline(bus: InstrumentationBus, tag: str) -> str:
+    lines = [f"timeline for {tag}:"]
+    for ev in bus.events:
+        if ev.ctag is not None and chunk_of(ev) == tag:
+            detail = " ".join(f"{k}={v}" for k, v in ev.fields.items())
+            lines.append(f"  t={ev.time:>8d} {ev.kind:16s} {ev.src:8s} {detail}")
+    return "\n".join(lines)
 
 
 def main() -> None:
@@ -30,24 +44,23 @@ def main() -> None:
     remaining = {c: specs(c) for c in range(9)}
     machine = Machine(config, next_spec=lambda c: (
         remaining.get(c).pop(0) if remaining.get(c) else None))
-    tracer = attach_tracer(machine)
+    bus = attach_bus(machine, InstrumentationBus(record_messages=False))
     machine.run()
 
     print("machine-wide event summary:")
-    for kind, count in sorted(tracer.summary().items()):
+    for kind, count in sorted(bus.summary().items()):
         print(f"  {kind:16s} {count}")
 
-    failures = tracer.of_kind("group_failed")
+    failures = bus.of_kind("group_failed")
     print(f"\n{len(failures)} group-formation failures; "
           f"{machine.protocol.stats.commit_recalls} OCI recalls")
 
-    interesting = failures[0].tag if failures else \
-        tracer.of_kind("commit_success")[0].tag
-    print("\n" + tracer.timeline(interesting))
+    interesting = failures[0] if failures else bus.of_kind("commit_complete")[0]
+    print("\n" + timeline(bus, chunk_of(interesting)))
 
-    squashes = tracer.of_kind("squash")
+    squashes = bus.of_kind("squash")
     if squashes:
-        print("\n" + tracer.timeline(squashes[0].tag))
+        print("\n" + timeline(bus, chunk_of(squashes[0])))
 
 
 if __name__ == "__main__":

@@ -95,12 +95,6 @@ class SystemConfig:
     #: aliasing-squash rate over a chunk's invalidation traffic.  (8 banks
     #: would be closer to the Bloom optimum and makes aliasing vanish.)
     signature_banks: int = 4
-    #: signature storage backend: "python" (packed big-int), "numpy"
-    #: (packed uint64 word array), or "auto" — defer to the
-    #: REPRO_SIG_BACKEND environment variable, falling back to python.
-    #: Backends are bit-for-bit equivalent; this knob only trades per-op
-    #: cost against signature width.
-    signature_backend: str = "auto"
 
     # --- interconnect ----------------------------------------------------
     link_latency_cycles: int = 7
@@ -152,9 +146,6 @@ class SystemConfig:
             raise ValueError("page size must be a whole number of cache lines")
         if self.max_active_chunks_per_core < 1:
             raise ValueError("need at least one active chunk per core")
-        if self.signature_backend not in ("python", "numpy", "auto"):
-            raise ValueError(
-                f"unknown signature_backend {self.signature_backend!r}")
 
     # --- derived geometry -------------------------------------------------
     @property

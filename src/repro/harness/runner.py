@@ -103,7 +103,7 @@ class Machine:
         self.page_mapper = PageMapper(config.page_bytes, config.n_directories)
         self.sig_factory = SignatureFactory(
             total_bits=config.signature_bits, n_banks=config.signature_banks,
-            seed=config.seed, backend=config.signature_backend)
+            seed=config.seed)
         self.workload = workload
         spec_source = next_spec or workload.next_spec
         if workload is not None:

@@ -70,6 +70,11 @@ def _jsonable(value: Any) -> Any:
     return value
 
 
+#: Removed ``SystemConfig`` fields at their old defaults: none changed
+#: simulated behaviour, and stored records are keyed by this hash.
+_RETIRED_FIELDS = {"signature_backend": "auto"}
+
+
 def config_hash(config: SystemConfig) -> str:
     """Stable 12-hex-digit fingerprint of a full machine configuration.
 
@@ -78,7 +83,7 @@ def config_hash(config: SystemConfig) -> str:
     count, latencies, signature geometry, seed — yields a new hash while
     re-running the same config reproduces the old one.
     """
-    doc = _jsonable(config)
+    doc = {**_RETIRED_FIELDS, **_jsonable(config)}
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 

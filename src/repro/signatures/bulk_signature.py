@@ -23,50 +23,21 @@ big-int op each:
 * ``contains``  — ``bits & mask == mask`` (its bit set in *every* bank)
 * ``intersects``— one AND, then an n_banks-slice emptiness scan
 
-The banked semantics are unchanged: per-bank views are recovered on
-demand (``banks()``), and the bank-local ``line_masks`` API is kept for
-diagnostics and tests.
-
-An alternative numpy bit-array backend lives in
-:mod:`repro.signatures.numpy_backend`; :class:`SignatureFactory` selects
-the backend from its ``backend`` argument, the machine configuration, or
-the ``REPRO_SIG_BACKEND`` environment variable.  Both backends are
-bit-for-bit equivalent (property-tested in
-``tests/test_signature_backends.py``).
+The banked semantics are unchanged: bank ``b`` of a signature is its
+bits ANDed with ``factory.bank_slices[b]``.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.signatures.hashing import HashFamily, make_hash_family
-
-#: Recognised signature storage backends.
-BACKENDS = ("python", "numpy")
-
-
-def resolve_backend(backend: Optional[str] = None) -> str:
-    """Resolve a backend name: config > $REPRO_SIG_BACKEND > python.
-
-    ``None`` and ``"auto"`` both mean "no explicit choice" and defer to
-    the ``REPRO_SIG_BACKEND`` environment variable (then ``python``).
-    """
-    if backend is not None and backend.lower() == "auto":
-        backend = None
-    name = (backend or os.environ.get("REPRO_SIG_BACKEND") or "python").lower()
-    if name not in BACKENDS:
-        raise ValueError(
-            f"unknown signature backend {name!r}; expected one of {BACKENDS}")
-    return name
-
 
 class SignatureFactory:
     """Creates signatures that share one hash family (one per machine)."""
 
     def __init__(self, total_bits: int = 2048, n_banks: int = 4,
-                 hash_kind: str = "mult", seed: int = 2010,
-                 backend: Optional[str] = None) -> None:
+                 hash_kind: str = "mult", seed: int = 2010) -> None:
         if total_bits % n_banks:
             raise ValueError("total_bits must divide into banks evenly")
         self.total_bits = total_bits
@@ -75,7 +46,6 @@ class SignatureFactory:
         self.hash_kind = hash_kind
         self.seed = seed
         self.hashes: HashFamily = make_hash_family(hash_kind, n_banks, self.bank_bits, seed)
-        self.backend = resolve_backend(backend)
         #: Host-time self-profiler (repro.obs.profile).  Lives on the
         #: factory because BulkSignature has __slots__ and all of a
         #: machine's signatures share one factory; None = fast path.
@@ -87,21 +57,10 @@ class SignatureFactory:
         #: insert/contains hot path.  Bounded by the workload's
         #: distinct-line footprint.
         self._mask_cache: Dict[int, int] = {}
-        #: line address -> bank-local one-hot masks (diagnostics API).
-        self._bank_mask_cache: Dict[int, Tuple[int, ...]] = {}
         #: per-bank slice masks of the packed layout (intersection scan).
         bank_ones = (1 << self.bank_bits) - 1
         self.bank_slices: Tuple[int, ...] = tuple(
             bank_ones << (b * self.bank_bits) for b in range(n_banks))
-        self._signature_cls = self._resolve_signature_cls()
-
-    def _resolve_signature_cls(self) -> type:
-        if self.backend == "numpy":
-            from repro.signatures.numpy_backend import (
-                NumpyBulkSignature, require_numpy)
-            require_numpy(self)
-            return NumpyBulkSignature
-        return BulkSignature
 
     @property
     def hash_params(self) -> Tuple[int, int, str, int]:
@@ -109,8 +68,6 @@ class SignatureFactory:
 
         Two factories with equal ``hash_params`` map every address to the
         same bit positions, so their signatures are safely comparable.
-        The storage backend is deliberately excluded: backends are
-        bit-for-bit equivalent views of the same encoded set.
         """
         return (self.total_bits, self.n_banks, self.hash_kind, self.seed)
 
@@ -126,31 +83,19 @@ class SignatureFactory:
             self._mask_cache[line_addr] = mask
         return mask
 
-    def line_masks(self, line_addr: int) -> Tuple[int, ...]:
-        """Per-bank one-hot bit masks for ``line_addr`` (memoized)."""
-        masks = self._bank_mask_cache.get(line_addr)
-        if masks is None:
-            packed = self.packed_mask(line_addr)
-            bank_bits = self.bank_bits
-            bank_ones = (1 << bank_bits) - 1
-            masks = tuple((packed >> (b * bank_bits)) & bank_ones
-                          for b in range(self.n_banks))
-            self._bank_mask_cache[line_addr] = masks
-        return masks
-
     def empty(self) -> "BulkSignature":
-        """A fresh, empty signature (backend chosen at factory build)."""
-        return self._signature_cls(self)
+        """A fresh, empty signature."""
+        return BulkSignature(self)
 
     def from_lines(self, lines: Iterable[int]) -> "BulkSignature":
         """Fold a whole line set into a fresh signature in one pass."""
-        sig = self._signature_cls(self)
+        sig = BulkSignature(self)
         sig.insert_many(lines)
         return sig
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"SignatureFactory(total_bits={self.total_bits}, "
-                f"n_banks={self.n_banks}, backend={self.backend!r})")
+                f"n_banks={self.n_banks})")
 
 
 class BulkSignature:
@@ -220,7 +165,7 @@ class BulkSignature:
     def union_update(self, other: "BulkSignature") -> None:
         """In-place union (used to fold R and W for disambiguation)."""
         self._check_compatible(other)
-        self._bits |= other.packed_bits()
+        self._bits |= other._bits
         self._count += other.inserts
 
     # ------------------------------------------------------------------
@@ -244,12 +189,12 @@ class BulkSignature:
         prof = self._factory.profiler
         if prof is None:
             self._check_compatible(other)
-            both = self._bits & other.packed_bits()
+            both = self._bits & other._bits
             return all(both & s for s in self._factory.bank_slices)
         prof.enter("sig.intersect")
         try:
             self._check_compatible(other)
-            both = self._bits & other.packed_bits()
+            both = self._bits & other._bits
             return all(both & s for s in self._factory.bank_slices)
         finally:
             prof.exit()
@@ -260,7 +205,7 @@ class BulkSignature:
         # could then miss real conflicts.  Same check as union_update.
         self._check_compatible(other)
         out = BulkSignature(self._factory)
-        out._bits = self._bits | other.packed_bits()
+        out._bits = self._bits | other._bits
         out._count = self._count + other.inserts
         return out
 
@@ -281,9 +226,11 @@ class BulkSignature:
 
     def false_positive_probability(self) -> float:
         """Analytic FP rate for a membership probe against this signature."""
+        bits = self._bits
+        bank_bits = self._factory.bank_bits
         prob = 1.0
-        for bank in self.banks():
-            prob *= bank.bit_count() / self._factory.bank_bits
+        for bank_slice in self._factory.bank_slices:
+            prob *= (bits & bank_slice).bit_count() / bank_bits
         return prob
 
     @property
@@ -295,23 +242,11 @@ class BulkSignature:
         return self._factory
 
     # ------------------------------------------------------------------
-    def packed_bits(self) -> int:
-        """The packed all-banks int (the canonical cross-backend view)."""
-        return self._bits
-
     def copy(self) -> "BulkSignature":
         out = BulkSignature(self._factory)
         out._bits = self._bits
         out._count = self._count
         return out
-
-    def banks(self) -> Iterator[int]:
-        """Per-bank ints, bank 0 first (views of the packed storage)."""
-        bits = self._bits
-        bank_bits = self._factory.bank_bits
-        bank_ones = (1 << bank_bits) - 1
-        for b in range(self._factory.n_banks):
-            yield (bits >> (b * bank_bits)) & bank_ones
 
     def _check_compatible(self, other: "BulkSignature") -> None:
         # Matching geometry is not enough: a different hash kind or seed
@@ -327,7 +262,7 @@ class BulkSignature:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BulkSignature):
             return NotImplemented
-        return self.packed_bits() == other.packed_bits()
+        return self._bits == other._bits
 
     def __hash__(self) -> int:  # signatures are mutable; identity hashing
         return id(self)
@@ -352,5 +287,5 @@ def exact_conflict(read_set: Set[int], write_set: Set[int],
     return bool(other_write_set & read_set) or bool(other_write_set & write_set)
 
 
-__all__ = ["BACKENDS", "BulkSignature", "SignatureFactory",
-           "definitely_disjoint", "exact_conflict", "resolve_backend"]
+__all__ = ["BulkSignature", "SignatureFactory", "definitely_disjoint",
+           "exact_conflict"]

@@ -1,8 +1,15 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.__main__ import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestCli:
@@ -36,6 +43,16 @@ class TestCli:
                    "--markdown", str(tmp_path / "m.md")])
         assert rc == 0
         assert (tmp_path / "m.md").exists()
+
+    def test_run_needs_only_the_standard_library(self):
+        """``-S`` keeps site-packages off ``sys.path``: a third-party
+        import anywhere on the run path fails this."""
+        proc = subprocess.run(
+            [sys.executable, "-S", "-m", "repro", "run", "Radix",
+             "--cores", "4", "--chunks", "1"],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True, text=True, timeout=240)
+        assert proc.returncode == 0, proc.stderr[-2000:]
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):

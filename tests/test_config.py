@@ -5,6 +5,7 @@ import pytest
 from repro.config import (
     CacheConfig, ProtocolKind, SystemConfig, TABLE2_CONFIGS, table2_config,
 )
+from repro.provenance import config_hash
 
 
 class TestDefaults:
@@ -63,3 +64,12 @@ class TestDerived:
     def test_table2_config_passthrough(self):
         c = table2_config(32, protocol=ProtocolKind.SEQ, oci=False)
         assert c.protocol is ProtocolKind.SEQ and not c.oci
+
+
+class TestFingerprint:
+    def test_table2_config_hashes_pinned(self):
+        """Stored records (paperbench/expected.json, sweep caches, the
+        result store) are keyed by these hashes: dropping a config field
+        without adding it to provenance._RETIRED_FIELDS breaks every key."""
+        assert config_hash(TABLE2_CONFIGS[32]) == "0e7ecee3685b"
+        assert config_hash(TABLE2_CONFIGS[64]) == "7ccd1fd5b66d"

@@ -203,25 +203,20 @@ class TestHostileScopeBalance:
     body in try/finally; if one leaked on an exception, every later scope
     would be mis-attributed to a phantom parent for the rest of the run."""
 
-    def _profiled_factory(self, **kw):
+    def _profiled_factory(self):
         from repro.signatures.bulk_signature import SignatureFactory
 
         prof = HostProfiler()
         prof.start()
-        factory = SignatureFactory(total_bits=2048, n_banks=4, seed=2010, **kw)
+        factory = SignatureFactory(total_bits=2048, n_banks=4, seed=2010)
         factory.profiler = prof
         return factory, prof
 
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
-    def test_sig_ops_raising_keep_stack_balanced(self, backend):
+    def test_sig_ops_raising_keep_stack_balanced(self):
         from repro.signatures.bulk_signature import SignatureFactory
-        from repro.signatures.numpy_backend import numpy_available
 
-        if backend == "numpy" and not numpy_available():
-            pytest.skip("numpy not installed")
-        factory, prof = self._profiled_factory(backend=backend)
-        alien = SignatureFactory(total_bits=2048, n_banks=4, seed=999,
-                                 backend=backend)
+        factory, prof = self._profiled_factory()
+        alien = SignatureFactory(total_bits=2048, n_banks=4, seed=999)
         alien.profiler = prof
         a = factory.from_lines([1, 2, 3])
         b = alien.from_lines([4])

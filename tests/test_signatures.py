@@ -194,6 +194,8 @@ class TestFactory:
             a.intersects(b)
         with pytest.raises(ValueError, match="incompatible"):
             a.union_update(b)
+        with pytest.raises(ValueError, match="incompatible"):
+            a.union(b)
 
     def test_same_geometry_different_hash_kind_rejected(self):
         f_mult = SignatureFactory(total_bits=2048, n_banks=4, hash_kind="mult")
@@ -210,14 +212,16 @@ class TestFactory:
         assert f1.from_lines([1, 2]).intersects(f2.from_lines([2, 9]))
         assert not f1.from_lines([1, 2]).intersects(f2.from_lines([40, 41]))
 
-    def test_line_masks_memoized_and_consistent(self):
-        """The memoized per-line masks must agree with direct hashing."""
+    def test_packed_mask_memoized_and_consistent(self):
+        """The memoized per-line mask must agree with direct hashing."""
         f = SignatureFactory(total_bits=2048, n_banks=4, seed=7)
         for line in (0, 1, 17, 2**40 + 3):
-            masks = f.line_masks(line)
-            assert masks is f.line_masks(line)  # cached object reused
-            for b, mask in enumerate(masks):
-                assert mask == 1 << f.hashes.bit_index(b, line)
+            mask = f.packed_mask(line)
+            assert mask is f.packed_mask(line)  # cached object reused
+            expected = 0
+            for b in range(f.n_banks):
+                expected |= 1 << (b * f.bank_bits + f.hashes.bit_index(b, line))
+            assert mask == expected
         sig = f.from_lines([5, 6])
         assert sig.contains(5) and sig.contains(6)
 
