@@ -1,15 +1,20 @@
-"""Shared configuration for the figure-regeneration benchmarks.
+"""Shared configuration for the figure shape checks.
 
-Every benchmark regenerates one paper table/figure at a *shape-preserving*
-reduced scale (16-core machine, a representative application subset, short
-runs) so the whole suite finishes in minutes.  Set ``REPRO_BENCH_FULL=1``
-to run at the paper's 64-core scale with all applications (slow; this is
-what ``python -m repro.harness.sweep`` does to produce EXPERIMENTS.md).
+Every figure test reads one session-wide set of sweep records (the
+``records`` fixture) through :mod:`repro.harness.figures`, the same
+functions that render EXPERIMENTS.md's tables.  By default the sweep is
+*shape-preserving* and small (16-core machine, a representative
+application subset, short runs) so the suite finishes in about half a
+minute.  Set ``REPRO_BENCH_FULL=1`` to check the paper's matrix instead:
+all applications at 32 and 64 cores, the same cells ``results/sweep.json``
+holds (slow).
 """
 
 import os
 
 import pytest
+
+from repro.harness import sweep
 
 FULL = os.environ.get("REPRO_BENCH_FULL") == "1"
 
@@ -29,10 +34,8 @@ else:
     PARSEC_SUBSET = ["Blackscholes", "Canneal", "Swaptions"]
 
 
-@pytest.fixture
-def once(benchmark):
-    """Run a callable exactly once under pytest-benchmark timing."""
-    def runner(fn, *args, **kwargs):
-        return benchmark.pedantic(fn, args=args, kwargs=kwargs,
-                                  rounds=1, iterations=1, warmup_rounds=0)
-    return runner
+@pytest.fixture(scope="session")
+def records():
+    """One sweep of every figure's matrix, run once per session."""
+    return sweep.collect(SPLASH2_SUBSET + PARSEC_SUBSET, CORE_COUNTS, CHUNKS,
+                         log=lambda _msg: None)

@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablation checks for the design choices DESIGN.md calls out.
 
 * OCI on/off (Section 3.3): optimistic initiation must not hurt, and under
   commit pressure it shortens the critical path.
@@ -18,17 +18,17 @@ from conftest import CHUNKS, SMALL_CORES
 APP = "Barnes"  # moderate sharing: sensitive to all four knobs
 
 
-def run_with(once, **overrides):
-    return once(lambda: run_app(APP, n_cores=SMALL_CORES,
-                                protocol=ProtocolKind.SCALABLEBULK,
-                                chunks_per_partition=CHUNKS, **overrides))
+def run_with(**overrides):
+    return run_app(APP, n_cores=SMALL_CORES,
+                   protocol=ProtocolKind.SCALABLEBULK,
+                   chunks_per_partition=CHUNKS, **overrides)
 
 
 class TestOciAblation:
-    def test_oci_does_not_slow_down(self, once):
+    def test_oci_does_not_slow_down(self):
         with_oci = run_app(APP, n_cores=SMALL_CORES,
                            chunks_per_partition=CHUNKS, oci=True)
-        without = run_with(once, oci=False)
+        without = run_with(oci=False)
         print(f"\nOCI ablation ({APP}): with={with_oci.total_cycles} "
               f"without={without.total_cycles} "
               f"inv-nacks without OCI={0 if with_oci else 0}")
@@ -37,8 +37,8 @@ class TestOciAblation:
 
 
 class TestSignatureAblation:
-    def test_fewer_banks_more_aliasing(self, once):
-        dense = run_with(once, signature_bits=512, signature_banks=2)
+    def test_fewer_banks_more_aliasing(self):
+        dense = run_with(signature_bits=512, signature_banks=2)
         precise = run_app(APP, n_cores=SMALL_CORES,
                           chunks_per_partition=CHUNKS,
                           signature_bits=2048, signature_banks=8)
@@ -51,8 +51,8 @@ class TestSignatureAblation:
 
 
 class TestRotationAblation:
-    def test_rotation_preserves_correctness(self, once):
-        rotated = run_with(once, priority_rotation_interval=500)
+    def test_rotation_preserves_correctness(self):
+        rotated = run_with(priority_rotation_interval=500)
         fixed = run_app(APP, n_cores=SMALL_CORES,
                         chunks_per_partition=CHUNKS,
                         priority_rotation_interval=0)
@@ -63,8 +63,8 @@ class TestRotationAblation:
 
 
 class TestContentionAblation:
-    def test_contention_costs_cycles(self, once):
-        contended = run_with(once, network_contention=True)
+    def test_contention_costs_cycles(self):
+        contended = run_with(network_contention=True)
         ideal = run_app(APP, n_cores=SMALL_CORES,
                         chunks_per_partition=CHUNKS,
                         network_contention=False)
@@ -75,6 +75,6 @@ class TestContentionAblation:
 
 
 class TestStarvationAblation:
-    def test_reservation_threshold_liveness(self, once):
-        eager = run_with(once, starvation_max_squashes=2)
+    def test_reservation_threshold_liveness(self):
+        eager = run_with(starvation_max_squashes=2)
         assert eager.chunks_committed == SMALL_CORES * CHUNKS

@@ -1,23 +1,22 @@
 """Figure 10: directories accessed per chunk commit, PARSEC."""
 
-from repro.harness.experiments import run_dirs_per_commit
-from repro.harness.tables import render_dirs_per_commit
+from repro.harness import figures
 
-from conftest import CHUNKS, CORE_COUNTS, PARSEC_SUBSET
+from conftest import CORE_COUNTS, PARSEC_SUBSET
 
 
-def test_fig10_dirs_per_commit_parsec(once):
-    rows = once(run_dirs_per_commit, PARSEC_SUBSET, CORE_COUNTS, CHUNKS)
-    print("\nFigure 10 (directories per chunk commit, PARSEC):")
-    print(render_dirs_per_commit(rows))
-
+def test_fig10_dirs_per_commit_parsec(records):
     big = max(CORE_COUNTS)
-    by_app = {r.app: r for r in rows if r.n_cores == big}
+
+    def mean_dirs(app):
+        return figures.dirs_per_commit(records, app, big)[0]
 
     # Canneal and Blackscholes have the large groups (Section 6.2)
-    assert by_app["Canneal"].mean_dirs > by_app["Swaptions"].mean_dirs
-    assert by_app["Blackscholes"].mean_dirs > by_app["Swaptions"].mean_dirs
+    assert mean_dirs("Canneal") > mean_dirs("Swaptions")
+    assert mean_dirs("Blackscholes") > mean_dirs("Swaptions")
     # every app engages at least its own directory
-    for r in rows:
-        assert r.mean_dirs >= 1.0
-        assert 0 <= r.mean_write_dirs <= r.mean_dirs
+    for app in PARSEC_SUBSET:
+        for n in CORE_COUNTS:
+            dirs, write, _ = figures.dirs_per_commit(records, app, n)
+            assert dirs >= 1.0
+            assert 0 <= write <= dirs

@@ -1,16 +1,13 @@
 """Figure 11: distribution of directories per commit, SPLASH-2 at scale."""
 
-from repro.harness.experiments import run_dirs_distribution
-from repro.harness.tables import render_distribution
+from repro.harness import figures
 
-from conftest import CHUNKS, LARGE_CORES, SPLASH2_SUBSET
+from conftest import LARGE_CORES, SPLASH2_SUBSET
 
 
-def test_fig11_distribution_splash2(once):
-    dist = once(run_dirs_distribution, SPLASH2_SUBSET, LARGE_CORES, CHUNKS)
-    print(f"\nFigure 11 (distribution of dirs/commit, SPLASH-2, "
-          f"{LARGE_CORES}p):")
-    print(render_distribution(dist))
+def test_fig11_distribution_splash2(records):
+    dist = {app: figures.dirs_distribution(records, app, LARGE_CORES)
+            for app in SPLASH2_SUBSET}
 
     for app, pct in dist.items():
         total = sum(pct.values())

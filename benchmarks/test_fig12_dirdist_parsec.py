@@ -1,16 +1,13 @@
 """Figure 12: distribution of directories per commit, PARSEC at scale."""
 
-from repro.harness.experiments import run_dirs_distribution
-from repro.harness.tables import render_distribution
+from repro.harness import figures
 
-from conftest import CHUNKS, LARGE_CORES, PARSEC_SUBSET
+from conftest import LARGE_CORES, PARSEC_SUBSET
 
 
-def test_fig12_distribution_parsec(once):
-    dist = once(run_dirs_distribution, PARSEC_SUBSET, LARGE_CORES, CHUNKS)
-    print(f"\nFigure 12 (distribution of dirs/commit, PARSEC, "
-          f"{LARGE_CORES}p):")
-    print(render_distribution(dist))
+def test_fig12_distribution_parsec(records):
+    dist = {app: figures.dirs_distribution(records, app, LARGE_CORES)
+            for app in PARSEC_SUBSET}
 
     for pct in dist.values():
         assert abs(sum(pct.values()) - 100.0) < 1e-6

@@ -6,26 +6,23 @@ occupation on large-group applications.
 """
 
 from repro.config import ProtocolKind
-from repro.harness.experiments import ALL_PROTOCOLS, run_commit_latency
-from repro.harness.tables import render_commit_latency
+from repro.harness import figures
+from repro.harness.sweep import PROTOCOLS
 
 from conftest import CHUNKS, LARGE_CORES, PARSEC_SUBSET, SPLASH2_SUBSET
 
 APPS = SPLASH2_SUBSET[:3] + PARSEC_SUBSET[:1]
 
 
-def test_fig13_commit_latency(once):
-    samples = once(run_commit_latency, APPS, LARGE_CORES, ALL_PROTOCOLS,
-                   CHUNKS)
-    print(f"\nFigure 13 (commit latency, {LARGE_CORES}p, apps={APPS}):")
-    print(render_commit_latency(samples))
+def test_fig13_commit_latency(records):
+    latency = {p: figures.commit_latency(records, APPS, LARGE_CORES, p)
+               for p in PROTOCOLS}
 
-    means = {p: (sum(v) / len(v) if v else 0.0)
-             for p, v in samples.items()}
+    means = {p: mean for p, (mean, _) in latency.items()}
     sb = means[ProtocolKind.SCALABLEBULK]
     assert sb > 0
     # the serializing protocols pay more than ScalableBulk
     assert means[ProtocolKind.SEQ] > sb
     # latency distributions are non-degenerate
-    for proto, values in samples.items():
-        assert len(values) == len(APPS) * LARGE_CORES * CHUNKS, proto
+    for proto, (_, samples) in latency.items():
+        assert samples == len(APPS) * LARGE_CORES * CHUNKS, proto

@@ -5,17 +5,14 @@ completion on large-group apps; ScalableBulk stays moderate.
 """
 
 from repro.config import ProtocolKind
-from repro.harness.experiments import GROUPING_PROTOCOLS, run_bottleneck_ratio
-from repro.harness.tables import render_ratio_table
+from repro.harness import figures
 
-from conftest import CHUNKS, LARGE_CORES, SPLASH2_SUBSET
+from conftest import LARGE_CORES, SPLASH2_SUBSET
 
 
-def test_fig14_bottleneck_splash2(once):
-    data = once(run_bottleneck_ratio, SPLASH2_SUBSET, LARGE_CORES,
-                GROUPING_PROTOCOLS, CHUNKS)
-    print(f"\nFigure 14 (bottleneck ratio, SPLASH-2, {LARGE_CORES}p):")
-    print(render_ratio_table(data, "bottleneck ratio"))
+def test_fig14_bottleneck_splash2(records):
+    data = {app: figures.bottleneck_ratios(records, app, LARGE_CORES)
+            for app in SPLASH2_SUBSET}
 
     for app, per_proto in data.items():
         for proto, ratio in per_proto.items():

@@ -1,17 +1,14 @@
 """Figure 15: bottleneck ratio, PARSEC (ScalableBulk / TCC / SEQ)."""
 
 from repro.config import ProtocolKind
-from repro.harness.experiments import GROUPING_PROTOCOLS, run_bottleneck_ratio
-from repro.harness.tables import render_ratio_table
+from repro.harness import figures
 
-from conftest import CHUNKS, LARGE_CORES, PARSEC_SUBSET
+from conftest import LARGE_CORES, PARSEC_SUBSET
 
 
-def test_fig15_bottleneck_parsec(once):
-    data = once(run_bottleneck_ratio, PARSEC_SUBSET, LARGE_CORES,
-                GROUPING_PROTOCOLS, CHUNKS)
-    print(f"\nFigure 15 (bottleneck ratio, PARSEC, {LARGE_CORES}p):")
-    print(render_ratio_table(data, "bottleneck ratio"))
+def test_fig15_bottleneck_parsec(records):
+    data = {app: figures.bottleneck_ratios(records, app, LARGE_CORES)
+            for app in PARSEC_SUBSET}
 
     for per_proto in data.values():
         for ratio in per_proto.values():

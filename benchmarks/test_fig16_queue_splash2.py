@@ -5,19 +5,14 @@ behind earlier commits at shared directories.
 """
 
 from repro.config import ProtocolKind
-from repro.harness.experiments import (
-    QUEUEING_PROTOCOLS, run_queue_length,
-)
-from repro.harness.tables import render_ratio_table
+from repro.harness import figures
 
-from conftest import CHUNKS, LARGE_CORES, SPLASH2_SUBSET
+from conftest import LARGE_CORES, SPLASH2_SUBSET
 
 
-def test_fig16_queue_splash2(once):
-    data = once(run_queue_length, SPLASH2_SUBSET, LARGE_CORES,
-                QUEUEING_PROTOCOLS, CHUNKS)
-    print(f"\nFigure 16 (chunk queue length, SPLASH-2, {LARGE_CORES}p):")
-    print(render_ratio_table(data, "mean chunk queue length"))
+def test_fig16_queue_splash2(records):
+    data = {app: figures.queue_lengths(records, app, LARGE_CORES)
+            for app in SPLASH2_SUBSET}
 
     # queues exist somewhere for both serializing protocols
     assert any(per[ProtocolKind.SEQ] > 0.5 for per in data.values())
@@ -27,7 +22,6 @@ def test_fig16_queue_splash2(once):
             if app != "Radix") * 0.8
 
 
-def test_scalablebulk_queues_nothing(once):
-    data = once(run_queue_length, ["Radix"], LARGE_CORES,
-                (ProtocolKind.SCALABLEBULK,), CHUNKS)
-    assert data["Radix"][ProtocolKind.SCALABLEBULK] == 0.0
+def test_scalablebulk_queues_nothing(records):
+    data = figures.queue_lengths(records, "Radix", LARGE_CORES)
+    assert data[ProtocolKind.SCALABLEBULK] == 0.0

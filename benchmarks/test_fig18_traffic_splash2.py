@@ -6,18 +6,14 @@ is point-to-point and far lighter.
 """
 
 from repro.config import ProtocolKind
-from repro.harness.experiments import ALL_PROTOCOLS, run_traffic
-from repro.harness.tables import normalize_traffic, render_traffic
+from repro.harness import figures
 
-from conftest import CHUNKS, LARGE_CORES, SPLASH2_SUBSET
+from conftest import LARGE_CORES, SPLASH2_SUBSET
 
 
-def test_fig18_traffic_splash2(once):
-    data = once(run_traffic, SPLASH2_SUBSET, LARGE_CORES, ALL_PROTOCOLS,
-                CHUNKS)
-    print(f"\nFigure 18 (message mix, SPLASH-2, {LARGE_CORES}p, "
-          f"normalized to TCC):")
-    print(render_traffic(data))
+def test_fig18_traffic_splash2(records):
+    data = {app: figures.traffic(records, app, LARGE_CORES)
+            for app in SPLASH2_SUBSET}
 
     for app, per_proto in data.items():
         totals = {p: sum(counts.values())

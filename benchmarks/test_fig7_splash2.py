@@ -7,40 +7,41 @@ that of SEQ and BulkSC.
 """
 
 from repro.config import ProtocolKind
-from repro.harness.experiments import ALL_PROTOCOLS, run_execution_time_figure
-from repro.harness.tables import render_breakdown
+from repro.harness import figures
 
-from conftest import CHUNKS, CORE_COUNTS, SPLASH2_SUBSET
+from conftest import CORE_COUNTS, SPLASH2_SUBSET
 
 
-def test_fig7_splash2_breakdown(once):
-    fig = once(run_execution_time_figure, SPLASH2_SUBSET,
-               CORE_COUNTS, ALL_PROTOCOLS, CHUNKS)
-    print("\nFigure 7 (SPLASH-2 execution time, normalized to 1p "
-          "ScalableBulk):")
-    print(render_breakdown(fig, ALL_PROTOCOLS, CORE_COUNTS))
-
+def test_fig7_splash2_breakdown(records):
     big = max(CORE_COUNTS)
-    sb = fig.average_speedup(ProtocolKind.SCALABLEBULK, big)
-    seq = fig.average_speedup(ProtocolKind.SEQ, big)
-    bsc = fig.average_speedup(ProtocolKind.BULKSC, big)
+
+    def average_speedup(proto):
+        return figures.average_speedup(records, SPLASH2_SUBSET, big, proto)
+
+    def bar(app, proto):
+        return figures.breakdown(records, app, big, proto)
+
+    sb = average_speedup(ProtocolKind.SCALABLEBULK)
+    seq = average_speedup(ProtocolKind.SEQ)
+    bsc = average_speedup(ProtocolKind.BULKSC)
     assert sb > 0
     # ScalableBulk wins on average against the serializing protocols
     assert sb >= seq * 0.95
     assert sb >= bsc * 0.95
 
     # ScalableBulk shows practically no commit stalls (paper Section 6.1)
-    sb_commit = fig.average_commit_fraction(ProtocolKind.SCALABLEBULK, big)
+    sb_commit = figures.average_commit_fraction(
+        records, SPLASH2_SUBSET, big, ProtocolKind.SCALABLEBULK)
     assert sb_commit < 0.05
 
     # SEQ pays for Radix's large write groups; at the paper's 64-core
     # scale the commit component dominates its bar
-    radix_seq = fig.bar("Radix", ProtocolKind.SEQ, big)
-    radix_sb = fig.bar("Radix", ProtocolKind.SCALABLEBULK, big)
+    radix_seq = bar("Radix", ProtocolKind.SEQ)
+    radix_sb = bar("Radix", ProtocolKind.SCALABLEBULK)
     if big >= 64:
-        assert radix_seq.commit / max(radix_seq.normalized_time, 1e-12) > 0.3
-    assert radix_seq.normalized_time >= radix_sb.normalized_time * 0.9
+        assert radix_seq["commit"] / max(radix_seq["norm"], 1e-12) > 0.3
+    assert radix_seq["norm"] >= radix_sb["norm"] * 0.9
 
     # large-footprint apps beat linear scaling (aggregate L2 capacity)
-    ocean = fig.bar("Ocean", ProtocolKind.SCALABLEBULK, big)
-    assert ocean.speedup > big * 0.8
+    ocean = bar("Ocean", ProtocolKind.SCALABLEBULK)
+    assert ocean["speedup"] > big * 0.8

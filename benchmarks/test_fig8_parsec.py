@@ -1,33 +1,33 @@
 """Figure 8: PARSEC execution-time breakdowns across the four protocols."""
 
 from repro.config import ProtocolKind
-from repro.harness.experiments import ALL_PROTOCOLS, run_execution_time_figure
-from repro.harness.tables import render_breakdown
+from repro.harness import figures
 
-from conftest import CHUNKS, CORE_COUNTS, PARSEC_SUBSET
+from conftest import CORE_COUNTS, PARSEC_SUBSET
 
 
-def test_fig8_parsec_breakdown(once):
-    fig = once(run_execution_time_figure, PARSEC_SUBSET,
-               CORE_COUNTS, ALL_PROTOCOLS, CHUNKS)
-    print("\nFigure 8 (PARSEC execution time, normalized to 1p "
-          "ScalableBulk):")
-    print(render_breakdown(fig, ALL_PROTOCOLS, CORE_COUNTS))
-
+def test_fig8_parsec_breakdown(records):
     big = max(CORE_COUNTS)
-    sb = fig.average_speedup(ProtocolKind.SCALABLEBULK, big)
-    seq = fig.average_speedup(ProtocolKind.SEQ, big)
+
+    def bar(app, proto):
+        return figures.breakdown(records, app, big, proto)
+
+    sb = figures.average_speedup(records, PARSEC_SUBSET, big,
+                                 ProtocolKind.SCALABLEBULK)
+    seq = figures.average_speedup(records, PARSEC_SUBSET, big,
+                                  ProtocolKind.SEQ)
     assert sb > 0 and sb >= seq * 0.95
 
     # ScalableBulk: no commit stalls on PARSEC either
-    assert fig.average_commit_fraction(ProtocolKind.SCALABLEBULK, big) < 0.05
+    assert figures.average_commit_fraction(
+        records, PARSEC_SUBSET, big, ProtocolKind.SCALABLEBULK) < 0.05
 
     # Canneal's scattered shared writes produce large groups -> SEQ pays
-    canneal_seq = fig.bar("Canneal", ProtocolKind.SEQ, big)
-    canneal_sb = fig.bar("Canneal", ProtocolKind.SCALABLEBULK, big)
-    assert canneal_seq.normalized_time >= canneal_sb.normalized_time
+    canneal_seq = bar("Canneal", ProtocolKind.SEQ)
+    canneal_sb = bar("Canneal", ProtocolKind.SCALABLEBULK)
+    assert canneal_seq["norm"] >= canneal_sb["norm"]
 
     # the embarrassingly parallel app is insensitive to the protocol
-    swap = [fig.bar("Swaptions", p, big).normalized_time
+    swap = [bar("Swaptions", p)["norm"]
             for p in (ProtocolKind.SCALABLEBULK, ProtocolKind.TCC)]
     assert max(swap) / min(swap) < 1.6

@@ -4,26 +4,19 @@ Shape: applications average 2-6 directories; Radix is the outlier with a
 large group in which nearly every module records writes.
 """
 
-from repro.harness.experiments import run_dirs_per_commit
-from repro.harness.tables import render_dirs_per_commit
+from repro.harness import figures
 
-from conftest import CHUNKS, CORE_COUNTS, SPLASH2_SUBSET
+from conftest import CORE_COUNTS
 
 
-def test_fig9_dirs_per_commit_splash2(once):
-    rows = once(run_dirs_per_commit, SPLASH2_SUBSET, CORE_COUNTS, CHUNKS)
-    print("\nFigure 9 (directories per chunk commit, SPLASH-2):")
-    print(render_dirs_per_commit(rows))
-
+def test_fig9_dirs_per_commit_splash2(records):
     big = max(CORE_COUNTS)
-    by_app = {r.app: r for r in rows if r.n_cores == big}
-
-    radix = by_app["Radix"]
-    assert radix.mean_dirs >= 7, "Radix must access many directories"
+    radix_dirs, radix_write, _ = figures.dirs_per_commit(records, "Radix", big)
+    assert radix_dirs >= 7, "Radix must access many directories"
     # nearly all of Radix's group records writes (Section 6.2)
-    assert radix.mean_write_dirs / radix.mean_dirs > 0.8
+    assert radix_write / radix_dirs > 0.8
 
-    lu = by_app["LU"]
-    assert lu.mean_dirs < 4, "blocked LU has small groups"
+    lu_dirs, _, _ = figures.dirs_per_commit(records, "LU", big)
+    assert lu_dirs < 4, "blocked LU has small groups"
 
-    assert radix.mean_dirs > 2 * lu.mean_dirs
+    assert radix_dirs > 2 * lu_dirs

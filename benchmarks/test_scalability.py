@@ -15,12 +15,12 @@ SIZES = (16, 64) if FULL else (16, 36)
 APP = "Radix"  # the large-group stressor
 
 
-def test_scalablebulk_scales(once):
+def test_scalablebulk_scales():
     def sweep():
         return {n: run_app(APP, n_cores=n, chunks_per_partition=CHUNKS)
                 for n in SIZES}
 
-    results = once(sweep)
+    results = sweep()
     print(f"\nScalability ({APP}):")
     for n, r in results.items():
         frac = r.breakdown_fractions()
@@ -35,13 +35,13 @@ def test_scalablebulk_scales(once):
     assert big.mean_dirs_per_commit >= small.mean_dirs_per_commit
 
 
-def test_bulksc_arbiter_degrades(once):
+def test_bulksc_arbiter_degrades():
     def sweep():
         return {n: run_app(APP, n_cores=n, protocol=ProtocolKind.BULKSC,
                            chunks_per_partition=CHUNKS)
                 for n in SIZES}
 
-    results = once(sweep)
+    results = sweep()
     small, big = (results[n] for n in SIZES)
     print(f"\nBulkSC arbiter ({APP}): "
           + ", ".join(f"{n}p lat={results[n].mean_commit_latency:.0f}"
@@ -50,13 +50,13 @@ def test_bulksc_arbiter_degrades(once):
     assert big.mean_commit_latency > small.mean_commit_latency * 1.5
 
 
-def test_seq_occupation_grows_with_group(once):
+def test_seq_occupation_grows_with_group():
     def sweep():
         return {n: run_app(APP, n_cores=n, protocol=ProtocolKind.SEQ,
                            chunks_per_partition=CHUNKS)
                 for n in SIZES}
 
-    results = once(sweep)
+    results = sweep()
     small, big = (results[n] for n in SIZES)
     print(f"\nSEQ occupation ({APP}): "
           + ", ".join(f"{n}p lat={results[n].mean_commit_latency:.0f}"

@@ -1,4 +1,4 @@
-"""Sensitivity benches around the paper's design arguments (Section 2.2/2.3).
+"""Sensitivity checks around the paper's design arguments (Section 2.2/2.3).
 
 The chunk-size sweep reproduces the paper's explanation of why Scalable
 TCC's own evaluation saw no commit bottleneck: with 10k+-instruction
@@ -14,9 +14,8 @@ from repro.harness.sensitivity import (
 from conftest import SMALL_CORES
 
 
-def test_commit_criticality_vs_chunk_size(once):
-    points = once(chunk_size_sweep, "Radix", SMALL_CORES,
-                  (1000, 2000, 8000))
+def test_commit_criticality_vs_chunk_size():
+    points = chunk_size_sweep("Radix", SMALL_CORES, (1000, 2000, 8000))
     print("\nChunk-size sweep (Section 2.2 argument):")
     print(render_sweep(points, "chunk_size"))
 
@@ -29,8 +28,8 @@ def test_commit_criticality_vs_chunk_size(once):
                                             seq[2000].commit_fraction) + 0.02
 
 
-def test_signature_geometry_vs_aliasing(once):
-    points = once(signature_sweep, "Barnes", SMALL_CORES)
+def test_signature_geometry_vs_aliasing():
+    points = signature_sweep("Barnes", SMALL_CORES)
     print("\nSignature-geometry sweep:")
     print(render_sweep(points, "sig_bits"))
     tiny = [p for p in points if p.x == 512][0]
@@ -38,8 +37,8 @@ def test_signature_geometry_vs_aliasing(once):
     assert tiny.squashes_alias >= big.squashes_alias
 
 
-def test_backoff_sweep_completes(once):
-    points = once(backoff_sweep, "Canneal", SMALL_CORES, (10, 100))
+def test_backoff_sweep_completes():
+    points = backoff_sweep("Canneal", SMALL_CORES, (10, 100))
     print("\nRetry-backoff sweep:")
     print(render_sweep(points, "backoff"))
     assert all(p.total_cycles > 0 for p in points)

@@ -1,10 +1,10 @@
 """Table 2: the simulated system configuration."""
 
-from repro.config import ProtocolKind, SystemConfig, table2_config
+from repro.config import ProtocolKind, table2_config
 
 
-def test_table2_defaults(once):
-    config = once(table2_config, 64)
+def test_table2_defaults():
+    config = table2_config(64)
     # Processor & interconnect
     assert config.n_cores == 64
     assert config.signature_bits == 2048
@@ -42,6 +42,6 @@ def test_table2_defaults(once):
     print(f"  memory round trip    {config.memory_round_trip_cycles} cycles")
 
 
-def test_32_core_torus_shape(once):
-    config = once(table2_config, 32)
+def test_32_core_torus_shape():
+    config = table2_config(32)
     assert config.mesh_shape == (4, 8)

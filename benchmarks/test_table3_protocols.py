@@ -6,13 +6,13 @@ from repro.harness.runner import run_app
 from conftest import CHUNKS, SMALL_CORES
 
 
-def test_table3_all_protocols_complete(once):
+def test_table3_all_protocols_complete():
     def run_all():
         return {proto: run_app("LU", n_cores=SMALL_CORES, protocol=proto,
                                chunks_per_partition=CHUNKS)
                 for proto in ProtocolKind}
 
-    results = once(run_all)
+    results = run_all()
     print("\nTable 3 (simulated protocols):")
     for proto, r in results.items():
         assert r.chunks_committed == r.active_cores * CHUNKS

@@ -1,9 +1,12 @@
 #!/usr/bin/env python
 """Render the paper's key figures as terminal charts, at demo scale.
 
-Regenerates miniature versions of Figures 7 (execution breakdown),
-9 (directories per commit) and 13 (commit-latency comparison) and draws
-them with the ASCII chart renderers — no plotting libraries required.
+Runs a miniature sweep (three applications, one machine size) and draws
+Figures 7 (execution breakdown), 9 (directories per commit), 11
+(distribution of directories per commit) and 13 (commit-latency
+comparison) from its records with the ASCII chart renderers — the same
+records-to-figures functions that produce EXPERIMENTS.md, and no plotting
+libraries.
 
 Run:  python examples/paper_figures.py [n_cores]
 """
@@ -11,11 +14,9 @@ Run:  python examples/paper_figures.py [n_cores]
 import sys
 
 from repro.config import ProtocolKind
+from repro.harness import figures, sweep
 from repro.harness.ascii_plots import (
-    breakdown_chart, distribution_plot, grouped_bars, hbar_chart,
-)
-from repro.harness.experiments import (
-    run_commit_latency, run_dirs_per_commit, run_execution_time_figure,
+    distribution_plot, grouped_bars, hbar_chart, stacked_bars,
 )
 
 APPS = ["Radix", "LU", "Barnes"]
@@ -24,28 +25,40 @@ PROTOCOLS = (ProtocolKind.SCALABLEBULK, ProtocolKind.SEQ)
 
 def main() -> None:
     n_cores = int(sys.argv[1]) if len(sys.argv) > 1 else 16
+    records = sweep.collect(APPS, [n_cores], 2, log=lambda _msg: None)
 
     print(f"=== Figure 7 (miniature): execution-time breakdown, "
           f"{n_cores} cores ===\n")
-    fig = run_execution_time_figure(APPS, (n_cores,), PROTOCOLS,
-                                    chunks_per_partition=2)
-    print(breakdown_chart(fig.bars, width=46))
+    cells = [(app, proto) for app in APPS for proto in PROTOCOLS]
+    bars = [figures.breakdown(records, app, n_cores, proto)
+            for app, proto in cells]
+    print(stacked_bars(
+        [f"{app}_{n_cores} {proto.value}" for app, proto in cells],
+        {"Useful": [b["useful"] for b in bars],
+         "Cache Miss": [b["miss"] for b in bars],
+         "Commit": [b["commit"] for b in bars],
+         "Squash": [b["squash"] for b in bars]},
+        width=46))
     print()
 
     print("=== Figure 9 (miniature): directories per chunk commit ===\n")
-    rows = run_dirs_per_commit(APPS, (n_cores,), chunks_per_partition=2)
+    rows = [figures.dirs_per_commit(records, app, n_cores) for app in APPS]
     print(grouped_bars(
-        [r.app for r in rows],
-        {"write group": [r.mean_write_dirs for r in rows],
-         "read group": [r.mean_read_only_dirs for r in rows]},
+        APPS,
+        {"write group": [write for _, write, _ in rows],
+         "read group": [read for _, _, read in rows]},
         width=36))
     print()
 
+    print(f"=== Figure 11 (miniature): Radix dirs/commit distribution, "
+          f"{n_cores} cores ===\n")
+    print(distribution_plot(figures.dirs_distribution(records, "Radix",
+                                                      n_cores)))
+    print()
+
     print("=== Figure 13 (miniature): mean commit latency ===\n")
-    samples = run_commit_latency(APPS, n_cores, tuple(ProtocolKind),
-                                 chunks_per_partition=2)
-    means = {p.value: (sum(v) / len(v) if v else 0.0)
-             for p, v in samples.items()}
+    means = {p.value: figures.commit_latency(records, APPS, n_cores, p)[0]
+             for p in sweep.PROTOCOLS}
     print(hbar_chart(means, width=46, unit=" cy"))
 
 

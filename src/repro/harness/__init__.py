@@ -2,12 +2,10 @@
 
 * :mod:`repro.harness.runner` — builds a full machine (cores, caches,
   NoC, directories, protocol engines) and runs one workload to completion.
-* :mod:`repro.harness.experiments` — one entry point per paper table and
-  figure, with scale knobs so the bench suite stays fast.
-* :mod:`repro.harness.tables` — plain-text renderers that print rows/series
-  shaped like the paper's figures.
-* ``python -m repro.harness.sweep`` — the full experiment matrix used to
-  produce EXPERIMENTS.md.
+* ``python -m repro.harness.sweep`` — runs the experiment matrix (one
+  record per run) and writes the records and EXPERIMENTS.md's tables.
+* :mod:`repro.harness.figures` — pure functions from sweep records to
+  each paper figure's data, and the markdown renderer built on them.
 """
 
 from repro.harness.runner import Machine, RunResult, SimulationRunner, run_app

@@ -11,7 +11,7 @@ Three chart shapes cover every figure in the evaluation:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Sequence
 
 #: fill characters for stacked segments, in legend order
 SEGMENT_CHARS = ("#", "=", "+", "x", "o", "*")
@@ -99,17 +99,5 @@ def distribution_plot(buckets: Mapping[object, float], width: int = 40,
     return "\n".join(lines)
 
 
-def breakdown_chart(bars, width: int = 50, title: str = "") -> str:
-    """Figs. 7/8 directly from `BreakdownBar` objects."""
-    labels = [f"{b.app}_{b.n_cores} {b.protocol.value}" for b in bars]
-    segments = {
-        "Useful": [b.useful for b in bars],
-        "Cache Miss": [b.cache_miss for b in bars],
-        "Commit": [b.commit for b in bars],
-        "Squash": [b.squash for b in bars],
-    }
-    return stacked_bars(labels, segments, width=width, title=title)
-
-
-__all__ = ["SEGMENT_CHARS", "breakdown_chart", "distribution_plot",
-           "grouped_bars", "hbar_chart", "stacked_bars"]
+__all__ = ["SEGMENT_CHARS", "distribution_plot", "grouped_bars", "hbar_chart",
+           "stacked_bars"]

@@ -2,8 +2,9 @@
 
 Runs each (application, core count, protocol) combination once — plus the
 single-processor ScalableBulk baselines — extracts everything the paper's
-figures need, caches raw records as JSON (so interrupted sweeps resume),
-and renders EXPERIMENTS.md-ready markdown.
+figures need into one record per run, caches the records as JSON (so
+interrupted sweeps resume), and renders them to EXPERIMENTS.md-ready
+markdown through :mod:`repro.harness.figures`.
 
 Usage::
 
@@ -29,8 +30,8 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.config import ProtocolKind, SystemConfig
+from repro.harness.parallel import resolve_jobs, run_ordered
 from repro.harness.runner import SimulationRunner
-from repro.harness.tables import TRAFFIC_ORDER, normalize_traffic
 from repro.obs.bus import InstrumentationBus
 from repro.obs.critical_path import analyze_commit_paths
 from repro.provenance import config_hash
@@ -172,9 +173,10 @@ def collect(apps: Sequence[str], core_counts: Sequence[int], chunks: int,
     breakdown, per-directory hop dwell) there.  Records already cached
     keep whatever summary they had — only new runs gain one.
 
-    ``jobs > 1`` fans uncached cells out over a process pool while merging
-    results (and saving the resumable cache) in canonical matrix order, so
-    the cache is identical to a serial sweep's modulo wall-clock fields.
+    ``jobs > 1`` fans uncached cells out over a process pool; ``jobs=1``
+    runs them in-process.  Either way results merge (and the resumable
+    cache is saved) in canonical matrix order, so the cache is identical
+    for every ``jobs`` value modulo wall-clock fields.
     """
     records: Dict[str, dict] = {}
     if cache_path and cache_path.exists():
@@ -197,278 +199,27 @@ def collect(apps: Sequence[str], core_counts: Sequence[int], chunks: int,
             atomic_write_text(critical_paths_path,
                               json.dumps(cpaths, indent=2, sort_keys=True))
 
-    def make_bus() -> Optional[InstrumentationBus]:
-        if critical_paths_path is None:
-            return None
-        return InstrumentationBus(record_messages=False)
+    cells = _matrix(apps, core_counts, chunks,
+                    critical_paths_path is not None, profile)
+    pending = [(key, task) for key, task in cells if key not in records]
+    log(f"{len(cells) - len(pending)} cached, {len(pending)} to run "
+        f"on {jobs} workers")
 
-    def finish(key: str, bus: Optional[InstrumentationBus]) -> None:
-        if bus is not None:
-            cpaths[key] = analyze_commit_paths(bus).summary()
-
-    if jobs > 1:
-        from repro.harness.parallel import run_ordered
-        cells = _matrix(apps, core_counts, chunks,
-                        critical_paths_path is not None, profile)
-        pending = [(key, task) for key, task in cells if key not in records]
-        log(f"{len(cells) - len(pending)} cached, {len(pending)} to run "
-            f"on {jobs} workers")
-
-        def merge(i: int, _payload: tuple, result: tuple) -> None:
-            key = pending[i][0]
-            record, cpath = result
-            records[key] = record
-            if cpath is not None:
-                cpaths[key] = cpath
-            save()
-            log(f"[{i + 1}/{len(pending)}] {key}: "
-                f"{record['total_cycles']} cycles "
-                f"({record['wall_seconds']}s)")
-
-        run_ordered(_sweep_worker, [task for _, task in pending], jobs=jobs,
-                    on_result=merge)
+    def merge(i: int, _payload: tuple, result: tuple) -> None:
+        key = pending[i][0]
+        record, cpath = result
+        records[key] = record
+        if cpath is not None:
+            cpaths[key] = cpath
         save()
-        return records
+        log(f"[{i + 1}/{len(pending)}] {key}: "
+            f"{record['total_cycles']} cycles "
+            f"({record['wall_seconds']}s)")
 
-    big = max(core_counts)
-    total = len(apps) * (1 + len(core_counts) * len(PROTOCOLS))
-    done = 0
-    for app in apps:
-        # single-processor ScalableBulk baseline on the big machine;
-        # n_partitions is pinned to the big machine everywhere so every
-        # run of the app executes the identical total work
-        k = key_of(app, big, "baseline1p", 1)
-        if k not in records:
-            bus = make_bus()
-            records[k] = run_one(app, big, ProtocolKind.SCALABLEBULK,
-                                 chunks, active_cores=1, n_partitions=big,
-                                 bus=bus, profile=profile)
-            finish(k, bus)
-            save()
-        done += 1
-        log(f"[{done}/{total}] {k}: {records[k]['total_cycles']} cycles "
-            f"({records[k]['wall_seconds']}s)")
-        for n in core_counts:
-            for proto in PROTOCOLS:
-                k = key_of(app, n, proto.value, n)
-                if k not in records:
-                    bus = make_bus()
-                    records[k] = run_one(app, n, proto, chunks,
-                                         n_partitions=big, bus=bus,
-                                         profile=profile)
-                    finish(k, bus)
-                    save()
-                done += 1
-                log(f"[{done}/{total}] {k}: "
-                    f"{records[k]['total_cycles']} cycles "
-                    f"({records[k]['wall_seconds']}s)")
+    run_ordered(_sweep_worker, [task for _, task in pending], jobs=jobs,
+                on_result=merge)
     save()
     return records
-
-
-# ----------------------------------------------------------------------
-# Rendering
-# ----------------------------------------------------------------------
-def _norm(rec: dict, base: dict) -> dict:
-    """Per-bar normalized breakdown (Figs. 7/8)."""
-    total = max(1, rec["useful"] + rec["miss"] + rec["commit"] + rec["squash"])
-    norm_time = rec["total_cycles"] / max(1, base["total_cycles"])
-    return {
-        "norm": norm_time,
-        "speedup": base["total_cycles"] / max(1, rec["total_cycles"]),
-        "useful": norm_time * rec["useful"] / total,
-        "miss": norm_time * rec["miss"] / total,
-        "commit": norm_time * rec["commit"] / total,
-        "squash": norm_time * rec["squash"] / total,
-    }
-
-
-def render_markdown(records: Dict[str, dict], apps: Sequence[str],
-                    core_counts: Sequence[int], chunks: int) -> str:
-    big = max(core_counts)
-    lines: List[str] = []
-    w = lines.append
-
-    def rec(app, n, proto):
-        return records[key_of(app, n, proto, n)]
-
-    def base(app):
-        return records[key_of(app, big, "baseline1p", 1)]
-
-    splash = [a for a in apps if a in SPLASH2_APPS]
-    parsec = [a for a in apps if a in PARSEC_APPS]
-
-    w(f"Sweep parameters: cores={list(core_counts)}, "
-      f"chunks/partition={chunks}, "
-      f"chunk={SystemConfig().chunk_size_instructions} instructions, "
-      f"{len(apps)} applications.\n")
-
-    # Figures 7/8 ------------------------------------------------------
-    for figno, suite, suite_apps in (("7", "SPLASH-2", splash),
-                                     ("8", "PARSEC", parsec)):
-        if not suite_apps:
-            continue
-        w(f"### Figure {figno} — {suite} execution time "
-          f"(normalized to 1p ScalableBulk)\n")
-        w("| app | cores | protocol | norm. time | speedup | useful | "
-          "miss | commit | squash |")
-        w("|---|---|---|---|---|---|---|---|---|")
-        for app in suite_apps:
-            for n in core_counts:
-                for proto in PROTOCOLS:
-                    r = rec(app, n, proto.value)
-                    nb = _norm(r, base(app))
-                    w(f"| {app} | {n} | {proto.value} | {nb['norm']:.4f} | "
-                      f"{nb['speedup']:.1f} | {nb['useful']:.4f} | "
-                      f"{nb['miss']:.4f} | {nb['commit']:.4f} | "
-                      f"{nb['squash']:.4f} |")
-        w("")
-        for n in core_counts:
-            for proto in PROTOCOLS:
-                speedups = [_norm(rec(a, n, proto.value), base(a))["speedup"]
-                            for a in suite_apps]
-                avg = sum(speedups) / len(speedups)
-                w(f"* AVERAGE speedup, {proto.value} @ {n}p: **{avg:.1f}**")
-        w("")
-
-    # Figures 9/10 ------------------------------------------------------
-    for figno, suite, suite_apps in (("9", "SPLASH-2", splash),
-                                     ("10", "PARSEC", parsec)):
-        if not suite_apps:
-            continue
-        w(f"### Figure {figno} — directories per chunk commit ({suite})\n")
-        w("| app | cores | dirs/commit | write group | read-only group |")
-        w("|---|---|---|---|---|")
-        for app in suite_apps:
-            for n in core_counts:
-                r = rec(app, n, ProtocolKind.SCALABLEBULK.value)
-                w(f"| {app} | {n} | {r['mean_dirs']:.2f} | "
-                  f"{r['mean_write_dirs']:.2f} | "
-                  f"{r['mean_dirs'] - r['mean_write_dirs']:.2f} |")
-        w("")
-
-    # Figures 11/12 -----------------------------------------------------
-    for figno, suite, suite_apps in (("11", "SPLASH-2", splash),
-                                     ("12", "PARSEC", parsec)):
-        if not suite_apps:
-            continue
-        w(f"### Figure {figno} — distribution of dirs/commit "
-          f"({suite}, {big}p, % of commits)\n")
-        cols = list(range(15)) + ["more"]
-        w("| app | " + " | ".join(str(c) for c in cols) + " |")
-        w("|---|" + "---|" * len(cols))
-        for app in suite_apps:
-            hist = rec(app, big, ProtocolKind.SCALABLEBULK.value)["dirs_hist"]
-            n_total = sum(hist.values()) or 1
-            pct = {}
-            more = 0.0
-            for k, v in hist.items():
-                ki = int(k)
-                if ki <= 14:
-                    pct[ki] = pct.get(ki, 0) + 100 * v / n_total
-                else:
-                    more += 100 * v / n_total
-            row = " | ".join(f"{pct.get(c, 0):.0f}" for c in range(15))
-            w(f"| {app} | {row} | {more:.0f} |")
-        w("")
-
-    # Figure 13 ----------------------------------------------------------
-    w(f"### Figure 13 — commit latency ({big}p, mean cycles over all apps)\n")
-    w("| protocol | measured mean | paper mean (64p) |")
-    w("|---|---|---|")
-    paper_means = {"ScalableBulk": 91, "TCC": 411, "SEQ": 153,
-                   "BulkSC": 2954}
-    for proto in PROTOCOLS:
-        lats, count = 0.0, 0
-        for app in apps:
-            hist = rec(app, big, proto.value)["latency_hist"]
-            for k, v in hist.items():
-                lats += int(k) * v
-                count += v
-        mean = lats / count if count else 0.0
-        w(f"| {proto.value} | {mean:.0f} | {paper_means[proto.value]} |")
-    w("")
-    if len(core_counts) > 1:
-        small = min(core_counts)
-        w(f"At {small}p, measured means: " + ", ".join(
-            f"{proto.value}="
-            f"{_mean_latency(records, apps, small, proto.value):.0f}"
-            for proto in PROTOCOLS)
-          + " (paper at 32p: ScalableBulk=74, TCC=402, SEQ=107, BulkSC=98)\n")
-
-    # Figures 14/15 -------------------------------------------------------
-    for figno, suite, suite_apps in (("14", "SPLASH-2", splash),
-                                     ("15", "PARSEC", parsec)):
-        if not suite_apps:
-            continue
-        w(f"### Figure {figno} — bottleneck ratio ({suite}, {big}p)\n")
-        w("| app | ScalableBulk | TCC | SEQ |")
-        w("|---|---|---|---|")
-        for app in suite_apps:
-            vals = [rec(app, big, p.value)["bottleneck_ratio"]
-                    for p in (ProtocolKind.SCALABLEBULK, ProtocolKind.TCC,
-                              ProtocolKind.SEQ)]
-            w(f"| {app} | " + " | ".join(f"{v:.2f}" for v in vals) + " |")
-        w("")
-
-    # Figures 16/17 -------------------------------------------------------
-    for figno, suite, suite_apps in (("16", "SPLASH-2", splash),
-                                     ("17", "PARSEC", parsec)):
-        if not suite_apps:
-            continue
-        w(f"### Figure {figno} — chunk queue length ({suite}, {big}p)\n")
-        w("| app | TCC | SEQ | ScalableBulk |")
-        w("|---|---|---|---|")
-        for app in suite_apps:
-            vals = [rec(app, big, p.value)["mean_queue"]
-                    for p in (ProtocolKind.TCC, ProtocolKind.SEQ,
-                              ProtocolKind.SCALABLEBULK)]
-            w(f"| {app} | " + " | ".join(f"{v:.2f}" for v in vals) + " |")
-        w("")
-
-    # Figures 18/19 --------------------------------------------------------
-    for figno, suite, suite_apps in (("18", "SPLASH-2", splash),
-                                     ("19", "PARSEC", parsec)):
-        if not suite_apps:
-            continue
-        w(f"### Figure {figno} — message mix ({suite}, {big}p, % of TCC "
-          f"total)\n")
-        w("| app | protocol | " + " | ".join(TRAFFIC_ORDER) + " | total |")
-        w("|---|---|" + "---|" * (len(TRAFFIC_ORDER) + 1))
-        for app in suite_apps:
-            per_proto = {p: rec(app, big, p.value)["traffic"]
-                         for p in PROTOCOLS}
-            norm = normalize_traffic(per_proto)
-            for proto in PROTOCOLS:
-                mix = norm[proto]
-                total = sum(mix.values())
-                row = " | ".join(f"{mix[k]:.1f}" for k in TRAFFIC_ORDER)
-                w(f"| {app} | {proto.value} | {row} | {total:.1f} |")
-        w("")
-
-    # Squash summary (Section 6.1 numbers) ---------------------------------
-    w(f"### Squash rates (ScalableBulk, {big}p; paper: 1.5% conflicts + "
-      f"2.3% aliasing)\n")
-    total_chunks = total_conf = total_alias = 0
-    for app in apps:
-        r = rec(app, big, ProtocolKind.SCALABLEBULK.value)
-        total_chunks += r["chunks_committed"]
-        total_conf += r["squashes_conflict"]
-        total_alias += r["squashes_alias"]
-    w(f"* conflicts: {100 * total_conf / max(1, total_chunks):.1f}% of "
-      f"chunks; aliasing: {100 * total_alias / max(1, total_chunks):.1f}%\n")
-
-    return "\n".join(lines)
-
-
-def _mean_latency(records, apps, n, proto) -> float:
-    lats = count = 0
-    for app in apps:
-        hist = records[key_of(app, n, proto, n)]["latency_hist"]
-        for k, v in hist.items():
-            lats += int(k) * v
-            count += v
-    return lats / count if count else 0.0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -506,7 +257,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args.apps = ["Radix", "LU", "Barnes", "Canneal"]
         args.chunks = 2
 
-    from repro.harness.parallel import resolve_jobs
+    from repro.harness.figures import render_markdown
     cp_path = (args.json.parent / "critical_paths.json"
                if args.critical_paths else None)
     records = collect(args.apps, args.cores, args.chunks,

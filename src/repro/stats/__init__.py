@@ -12,13 +12,11 @@
 """
 
 from repro.stats.metrics import AttemptPhase, CommitRecord, MachineStats
-from repro.stats.histograms import Histogram, bucketize, distribution_percentages
+from repro.stats.histograms import Histogram
 
 __all__ = [
     "AttemptPhase",
     "CommitRecord",
     "Histogram",
     "MachineStats",
-    "bucketize",
-    "distribution_percentages",
 ]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict
 
 
 class Histogram:
@@ -61,23 +61,4 @@ class Histogram:
         return self.n
 
 
-def bucketize(values: Sequence[float], bucket_width: float,
-              n_buckets: int) -> List[Tuple[float, int]]:
-    """Fixed-width bucketing for latency distributions (Fig. 13)."""
-    buckets = [0] * n_buckets
-    for v in values:
-        idx = min(int(v // bucket_width), n_buckets - 1)
-        buckets[idx] += 1
-    return [(i * bucket_width, c) for i, c in enumerate(buckets)]
-
-
-def distribution_percentages(values: Iterable[int], upper: int
-                             ) -> Dict[object, float]:
-    """One-shot helper: histogram then percentages."""
-    h = Histogram()
-    for v in values:
-        h.add(v)
-    return h.percentages(upper)
-
-
-__all__ = ["Histogram", "bucketize", "distribution_percentages"]
+__all__ = ["Histogram"]

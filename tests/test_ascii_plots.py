@@ -3,11 +3,11 @@
 import pytest
 
 from repro.config import ProtocolKind
+from repro.harness import figures
 from repro.harness.ascii_plots import (
-    breakdown_chart, distribution_plot, grouped_bars, hbar_chart,
-    stacked_bars,
+    distribution_plot, grouped_bars, hbar_chart, stacked_bars,
 )
-from repro.harness.experiments import BreakdownBar
+from repro.harness.sweep import key_of
 
 
 class TestHbar:
@@ -66,11 +66,18 @@ class TestGroupedAndDistribution:
 
 class TestBreakdownChart:
     def test_from_bars(self):
-        bar = BreakdownBar(app="LU", protocol=ProtocolKind.SCALABLEBULK,
-                           n_cores=4, normalized_time=0.1, speedup=10,
-                           useful=0.07, cache_miss=0.02, commit=0.005,
-                           squash=0.005)
-        text = breakdown_chart([bar], title="Fig7")
+        """Figs. 7/8 as a stacked chart of one record's breakdown bar."""
+        cell = {"total_cycles": 100, "useful": 70, "miss": 20, "commit": 5,
+                "squash": 5}
+        records = {key_of("LU", 4, "ScalableBulk", 4): cell,
+                   key_of("LU", 4, "baseline1p", 1): {"total_cycles": 1000}}
+        bar = figures.breakdown(records, "LU", 4, ProtocolKind.SCALABLEBULK)
+        parts = {"Useful": "useful", "Cache Miss": "miss",
+                 "Commit": "commit", "Squash": "squash"}
+        text = stacked_bars(["LU_4 ScalableBulk"],
+                            {name: [bar[k]] for name, k in parts.items()},
+                            title="Fig7")
         assert "Fig7" in text
         assert "LU_4 ScalableBulk" in text
         assert "#=Useful" in text
+        assert text.splitlines()[-1].endswith("| 0.1")  # normalized time

@@ -1,21 +1,31 @@
-"""Tests for the runner, experiment functions and table renderers."""
+"""Tests for the runner, the figure functions and the markdown renderer,
+on a small real sweep."""
 
 import pytest
 
-from repro.config import ProtocolKind, SystemConfig
-from repro.harness.experiments import (
-    BreakdownBar, run_bottleneck_ratio, run_commit_latency,
-    run_dirs_distribution, run_dirs_per_commit, run_execution_time_figure,
-    run_queue_length, run_traffic,
-)
-from repro.harness.runner import RunResult, SimulationRunner, run_app
-from repro.harness.tables import (
-    normalize_traffic, render_breakdown, render_commit_latency,
-    render_dirs_per_commit, render_distribution, render_ratio_table,
-    render_traffic,
-)
+from repro.config import ProtocolKind
+from repro.harness import figures, sweep
+from repro.harness.runner import RunResult, run_app
 
 SMALL = dict(n_cores=4, chunks_per_partition=1)
+SB = ProtocolKind.SCALABLEBULK
+
+
+@pytest.fixture(scope="module")
+def records():
+    return sweep.collect(["LU", "Radix"], [4], 1, log=lambda _msg: None)
+
+
+@pytest.fixture(scope="module")
+def markdown(records):
+    return figures.render_markdown(records, ["LU", "Radix"], [4], 1)
+
+
+def section(md: str, title: str) -> str:
+    """The lines of one figure's section of the rendered markdown."""
+    start = md.index(f"### {title} ")
+    end = md.find("### ", start + 1)
+    return md[start:end if end >= 0 else len(md)]
 
 
 class TestRunApp:
@@ -56,77 +66,69 @@ class TestRunApp:
 
 
 class TestExperimentFunctions:
-    def test_execution_time_figure(self):
-        fig = run_execution_time_figure(
-            ["LU"], core_counts=(4,), chunks_per_partition=1)
-        bar = fig.bar("LU", ProtocolKind.SCALABLEBULK, 4)
-        assert isinstance(bar, BreakdownBar)
-        assert bar.speedup > 0
-        total = bar.useful + bar.cache_miss + bar.commit + bar.squash
-        assert total == pytest.approx(bar.normalized_time, rel=1e-6)
+    def test_execution_time_figure(self, records):
+        bar = figures.breakdown(records, "LU", 4, SB)
+        assert bar["speedup"] > 0
+        total = bar["useful"] + bar["miss"] + bar["commit"] + bar["squash"]
+        assert total == pytest.approx(bar["norm"], rel=1e-6)
 
-    def test_dirs_per_commit_rows(self):
-        rows = run_dirs_per_commit(["Radix"], core_counts=(4,),
-                                   chunks_per_partition=1)
-        assert rows[0].mean_dirs >= rows[0].mean_write_dirs
-        assert rows[0].mean_read_only_dirs >= 0
+    def test_dirs_per_commit_rows(self, records):
+        dirs, write, read_only = figures.dirs_per_commit(records, "Radix", 4)
+        assert dirs >= write
+        assert read_only >= 0
 
-    def test_dirs_distribution_sums_to_100(self):
-        dist = run_dirs_distribution(["LU"], n_cores=4,
-                                     chunks_per_partition=1)
-        assert sum(dist["LU"].values()) == pytest.approx(100.0)
+    def test_dirs_distribution_sums_to_100(self, records):
+        dist = figures.dirs_distribution(records, "LU", 4)
+        assert sum(dist.values()) == pytest.approx(100.0)
 
-    def test_commit_latency_samples(self):
-        samples = run_commit_latency(
-            ["LU"], n_cores=4, protocols=(ProtocolKind.SCALABLEBULK,),
-            chunks_per_partition=1)
-        assert len(samples[ProtocolKind.SCALABLEBULK]) == 4
+    def test_commit_latency_samples(self, records):
+        _, samples = figures.commit_latency(records, ["LU"], 4, SB)
+        assert samples == 4
 
-    def test_bottleneck_and_queue(self):
-        bn = run_bottleneck_ratio(["LU"], n_cores=4,
-                                  protocols=(ProtocolKind.TCC,),
-                                  chunks_per_partition=1)
-        assert ProtocolKind.TCC in bn["LU"]
-        q = run_queue_length(["LU"], n_cores=4,
-                             protocols=(ProtocolKind.TCC,),
-                             chunks_per_partition=1)
-        assert q["LU"][ProtocolKind.TCC] >= 0
+    def test_bottleneck_and_queue(self, records):
+        bn = figures.bottleneck_ratios(records, "LU", 4)
+        assert ProtocolKind.TCC in bn
+        q = figures.queue_lengths(records, "LU", 4)
+        assert q[ProtocolKind.TCC] >= 0
 
-    def test_traffic_counts(self):
-        data = run_traffic(["LU"], n_cores=4,
-                           protocols=(ProtocolKind.TCC,
-                                      ProtocolKind.SCALABLEBULK),
-                           chunks_per_partition=1)
-        tcc = data["LU"][ProtocolKind.TCC]
-        assert sum(tcc.values()) > 0
+    def test_traffic_counts(self, records):
+        data = figures.traffic(records, "LU", 4)
+        assert sum(data[ProtocolKind.TCC].values()) > 0
 
 
 class TestRenderers:
-    def test_render_breakdown(self):
-        fig = run_execution_time_figure(
-            ["LU"], core_counts=(4,),
-            protocols=(ProtocolKind.SCALABLEBULK,), chunks_per_partition=1)
-        text = render_breakdown(fig, (ProtocolKind.SCALABLEBULK,), (4,))
-        assert "LU" in text and "AVERAGE" in text
+    """Each markdown section prints the figure functions' values."""
 
-    def test_render_dirs(self):
-        rows = run_dirs_per_commit(["LU"], core_counts=(4,),
-                                   chunks_per_partition=1)
-        assert "LU" in render_dirs_per_commit(rows)
+    def test_render_breakdown(self, records, markdown):
+        text = section(markdown, "Figure 7")
+        bar = figures.breakdown(records, "LU", 4, SB)
+        assert (f"| LU | 4 | ScalableBulk | {bar['norm']:.4f} | "
+                f"{bar['speedup']:.1f} |") in text
+        avg = figures.average_speedup(records, ["LU", "Radix"], 4, SB)
+        assert f"* AVERAGE speedup, ScalableBulk @ 4p: **{avg:.1f}**" in text
 
-    def test_render_distribution(self):
-        text = render_distribution({"LU": {0: 10.0, 1: 90.0, "more": 0.0}},
-                                   upper=1)
-        assert "LU" in text
+    def test_render_dirs(self, records, markdown):
+        dirs, write, read_only = figures.dirs_per_commit(records, "LU", 4)
+        assert (f"| LU | 4 | {dirs:.2f} | {write:.2f} | {read_only:.2f} |"
+                in section(markdown, "Figure 9"))
 
-    def test_render_commit_latency(self):
-        text = render_commit_latency({ProtocolKind.SCALABLEBULK: [10, 20]})
-        assert "mean" in text
+    def test_render_distribution(self, records, markdown):
+        pct = figures.dirs_distribution(records, "LU", 4)
+        row = " | ".join(f"{pct[c]:.0f}" for c in list(range(15)) + ["more"])
+        assert f"| LU | {row} |" in section(markdown, "Figure 11")
 
-    def test_render_ratio_table(self):
-        text = render_ratio_table(
-            {"LU": {ProtocolKind.TCC: 2.5}}, "bottleneck")
-        assert "AVERAGE" in text
+    def test_render_commit_latency(self, records, markdown):
+        mean, _ = figures.commit_latency(records, ["LU", "Radix"], 4, SB)
+        assert (f"| ScalableBulk | {mean:.0f} | 91 |"
+                in section(markdown, "Figure 13"))
+
+    def test_render_ratio_table(self, records, markdown):
+        ratios = figures.bottleneck_ratios(records, "LU", 4)
+        row = " | ".join(f"{v:.2f}" for v in ratios.values())
+        assert f"| LU | {row} |" in section(markdown, "Figure 14")
+        queues = figures.queue_lengths(records, "LU", 4)
+        row = " | ".join(f"{v:.2f}" for v in queues.values())
+        assert f"| LU | {row} |" in section(markdown, "Figure 16")
 
     def test_normalize_traffic_to_tcc(self):
         data = {
@@ -135,18 +137,18 @@ class TestRenderers:
             ProtocolKind.SCALABLEBULK: {"MemRd": 50, "SmallCMessage": 0,
                                         "Other": 0},
         }
-        norm = normalize_traffic(data)
+        norm = figures.normalize_traffic(data)
         assert sum(norm[ProtocolKind.TCC].values()) == pytest.approx(100.0)
         assert sum(norm[ProtocolKind.SCALABLEBULK].values()) == \
             pytest.approx(50.0)
 
     def test_normalize_folds_other_into_reads(self):
         data = {ProtocolKind.TCC: {"MemRd": 50, "Other": 50}}
-        norm = normalize_traffic(data)
+        norm = figures.normalize_traffic(data)
         assert norm[ProtocolKind.TCC]["MemRd"] == pytest.approx(100.0)
 
-    def test_render_traffic(self):
-        data = run_traffic(["LU"], n_cores=4,
-                           protocols=(ProtocolKind.TCC,),
-                           chunks_per_partition=1)
-        assert "LU" in render_traffic(data)
+    def test_render_traffic(self, records, markdown):
+        mix = figures.normalize_traffic(
+            figures.traffic(records, "LU", 4))[ProtocolKind.TCC]
+        assert f"| LU | TCC | {mix['MemRd']:.1f} |" in section(markdown,
+                                                               "Figure 18")

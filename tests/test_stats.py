@@ -1,9 +1,8 @@
 """Tests for metrics collection: attempts, bottleneck ratio, histograms."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.stats.histograms import Histogram, bucketize, distribution_percentages
+from repro.stats.histograms import Histogram
 from repro.stats.metrics import AttemptPhase, MachineStats
 
 
@@ -101,16 +100,6 @@ class TestHistogram:
             h.add(v)
         qs = [h.percentile(p) for p in (0, 10, 25, 50, 75, 90, 100)]
         assert qs == sorted(qs)
-
-    def test_bucketize(self):
-        buckets = bucketize([5, 55, 55, 1000], bucket_width=50, n_buckets=4)
-        assert buckets[0] == (0, 1)
-        assert buckets[1] == (50, 2)
-        assert buckets[3] == (150, 1)  # clamped to last bucket
-
-    def test_distribution_percentages(self):
-        pct = distribution_percentages([1, 1, 2], upper=3)
-        assert pct[1] == pytest.approx(66.667, abs=0.01)
 
 
 class TestAttemptBookkeeping:

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.config import ProtocolKind
-from repro.harness import sweep
+from repro.harness import figures, sweep
 
 
 class TestRunOne:
@@ -90,7 +90,7 @@ class TestRendering:
                              log=lambda *a: None)
 
     def test_markdown_contains_all_figures(self, records):
-        md = sweep.render_markdown(records, ["LU", "Radix"], [4], 1)
+        md = figures.render_markdown(records, ["LU", "Radix"], [4], 1)
         for fig in ("Figure 7", "Figure 9", "Figure 11", "Figure 13",
                     "Figure 14", "Figure 16", "Figure 18"):
             assert fig in md, fig
@@ -98,7 +98,7 @@ class TestRendering:
         assert "ScalableBulk" in md
 
     def test_markdown_has_paper_reference_latencies(self, records):
-        md = sweep.render_markdown(records, ["LU", "Radix"], [4], 1)
+        md = figures.render_markdown(records, ["LU", "Radix"], [4], 1)
         assert "2954" in md  # the paper's BulkSC 64p mean
 
     def test_main_cli(self, tmp_path):
