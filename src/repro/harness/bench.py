@@ -47,7 +47,8 @@ MACRO_MATRIX_QUICK = [("Radix", 8, 1), ("LU", 8, 1)]
 MICRO_OPS = {"signature_insert": (200_000, 40_000),
              "signature_intersect": (200_000, 40_000),
              "event_queue_churn": (200_000, 40_000),
-             "noc_transit": (60_000, 12_000)}
+             "noc_transit": (60_000, 12_000),
+             "prewarm": (200_000, 50_000)}
 
 
 # ----------------------------------------------------------------------
@@ -154,11 +155,33 @@ def bench_noc_transit(n_ops: int) -> Dict[str, Any]:
     return {"ops": sent, "seconds": dt, "ops_per_sec": sent / dt}
 
 
+def bench_prewarm(n_ops: int) -> Dict[str, Any]:
+    """``Machine.prewarm`` of Radix/64: directory registration plus L2
+    bulk fill, in lines registered per second.
+
+    Builds and prewarms one machine (139,392 lines) at a time until
+    ``n_ops`` lines are registered; only the prewarm calls are timed.
+    """
+    from repro.config import SystemConfig
+    from repro.harness.runner import Machine, SimulationRunner
+    config = SystemConfig(n_cores=64, seed=2010)
+    lines = 0
+    dt = 0.0
+    while lines < n_ops:
+        runner = SimulationRunner("Radix", config, chunks_per_partition=1)
+        machine = Machine(config, workload=runner.workload)
+        t0 = time.perf_counter()  # repro: allow SB304
+        lines += machine.prewarm()
+        dt += time.perf_counter() - t0  # repro: allow SB304
+    return {"ops": lines, "seconds": dt, "ops_per_sec": lines / dt}
+
+
 MICRO_BENCHES: Dict[str, Callable[[int], Dict[str, Any]]] = {
     "signature_insert": bench_signature_insert,
     "signature_intersect": bench_signature_intersect,
     "event_queue_churn": bench_event_queue_churn,
     "noc_transit": bench_noc_transit,
+    "prewarm": bench_prewarm,
 }
 
 

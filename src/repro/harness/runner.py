@@ -16,7 +16,6 @@ from typing import Dict, List, Optional
 from repro.config import ProtocolKind, SystemConfig
 from repro.cpu.core import Core
 from repro.engine.events import Simulator
-from repro.memory.directory import LineInfo
 from repro.memory.page_map import PageMapper
 from repro.network.message import core_node, dir_node
 from repro.network.noc import Network
@@ -30,9 +29,6 @@ from repro.workloads.profiles import AppProfile, get_profile
 #: Hard cap on simulator events per run — a livelocked protocol bug fails
 #: loudly instead of hanging the suite.
 DEFAULT_EVENT_GUARD = 200_000_000
-
-#: prewarm page-memo sentinel ("not looked up yet" vs "unmapped page")
-_UNRESOLVED = object()
 
 
 @dataclass
@@ -146,13 +142,9 @@ class Machine:
         lines_per_page = self.config.page_bytes // self.config.line_bytes
         directories = self.directories
         lookup = self.page_mapper.lookup
-        # page -> the home directory's line table (None if unmapped); pages
-        # hold many lines, so memoizing the home lookup per page takes the
-        # mapper out of the per-line loop
-        home_lines: Dict[int, Optional[Dict[int, LineInfo]]] = {}
-        # Pass 1: directory registration in plan order (the line-table
-        # insertion order is observable downstream, so it must not change),
-        # collecting each core's fill runs for the bulk pass.
+        # Pass 1: directory registration in plan order (each line's
+        # sharer-set insert order is observable downstream, so it must not
+        # change), collecting each core's fill runs for the bulk pass.
         per_core_fills: List[List[range]] = [[] for _ in self.cores]
         for core_id, start, count in runs:
             end = start + count
@@ -164,28 +156,9 @@ class Machine:
                 # a run usually sits inside one page; a shared-slice run
                 # can straddle a boundary, so register page segments
                 seg_end = min(end, (page + 1) * lines_per_page)
-                lines = home_lines.get(page, _UNRESOLVED)
-                first_visit = lines is _UNRESOLVED
-                if first_visit:
-                    home = lookup(page)
-                    lines = None if home is None else directories[home].lines
-                    home_lines[page] = lines
-                if lines is None:
-                    line = seg_end
-                    continue
-                if first_visit:
-                    # no line of this page can be tracked yet (only this
-                    # loop registers prewarm lines, page by page)
-                    for addr in range(line, seg_end):
-                        lines[addr] = LineInfo({core_id})
-                else:
-                    lines_get = lines.get
-                    for addr in range(line, seg_end):
-                        info = lines_get(addr)
-                        if info is None:
-                            lines[addr] = LineInfo({core_id})
-                        else:
-                            info.sharers.add(core_id)
+                home = lookup(page)
+                if home is not None:
+                    directories[home].register_prewarm(core_id, line, seg_end)
                 line = seg_end
         # Pass 2: bulk-fill each L2.  Caches are per-core, so splitting the
         # interleaved plan by core preserves every cache's fill order (and

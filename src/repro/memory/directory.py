@@ -20,7 +20,7 @@ Protocol-specific commit handling lives in subclasses
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Optional, Set
+from typing import Any, Dict, Iterable, Optional, Set, Tuple, Union
 
 from repro.config import SystemConfig
 from repro.engine.events import Simulator
@@ -50,12 +50,65 @@ class DirectoryModule:
         self.obs: NullBus = NULL_BUS  #: instrumentation sink (repro.obs)
         #: Host-time self-profiler (repro.obs.profile); None = fast path.
         self.profiler: Optional[Any] = None
+        #: line -> state of every line read, written back or committed so
+        #: far.  Read it through :meth:`entry` / :meth:`entry_or_new`,
+        #: which also see the prewarmed lines below.
         self.lines: Dict[int, LineInfo] = {}
+        #: line -> sharers registered by :meth:`register_prewarm` and not
+        #: accessed since: one core id, or a tuple of core ids in
+        #: first-registration order.  A run touches a few percent of its
+        #: prewarmed lines; holding the rest as ints and tuples instead of
+        #: LineInfo + set pairs keeps them out of the garbage collector's
+        #: full collections (the dict itself is untracked by the first
+        #: full collection after prewarm).
+        self._prewarmed: Dict[int, Union[int, Tuple[int, ...]]] = {}
         # statistics
         self.read_requests = 0
         self.read_nacks = 0
         self.memory_fetches = 0
         self.cache_to_cache = 0
+
+    # ------------------------------------------------------------------
+    # Line table
+    # ------------------------------------------------------------------
+    def entry(self, line_addr: int) -> Optional[LineInfo]:
+        """The line's state, or None if this module never tracked it."""
+        info = self.lines.get(line_addr)
+        if info is None and line_addr in self._prewarmed:
+            info = self._materialize(line_addr)
+        return info
+
+    def entry_or_new(self, line_addr: int) -> LineInfo:
+        """The line's state, created with no sharers and no owner if this
+        module never tracked it."""
+        info = self.lines.get(line_addr)
+        if info is None:
+            info = self._materialize(line_addr)
+        return info
+
+    def _materialize(self, line_addr: int) -> LineInfo:
+        # set(tuple) inserts the sharers in registration order, exactly
+        # the inserts eager registration made, so the set iterates in the
+        # same order (_handle_read breaks closest-sharer ties by it).
+        held = self._prewarmed.pop(line_addr, ())
+        info = self.lines[line_addr] = LineInfo(
+            {held} if held.__class__ is int else set(held))
+        return info
+
+    def register_prewarm(self, core_id: int, start: int, end: int) -> None:
+        """Register ``core_id`` as a sharer of lines [start, end), which
+        this module is home to and no one has accessed yet."""
+        held = self._prewarmed
+        get = held.get
+        for addr in range(start, end):
+            prev = get(addr)
+            if prev is None:
+                held[addr] = core_id
+            elif prev.__class__ is int:
+                if prev != core_id:
+                    held[addr] = (prev, core_id)
+            elif core_id not in prev:
+                held[addr] = prev + (core_id,)
 
     # ------------------------------------------------------------------
     # Protocol hooks (overridden by protocol directory engines)
@@ -108,7 +161,10 @@ class DirectoryModule:
             )
             return
 
-        info = self.lines.setdefault(line_addr, LineInfo())
+        # `lines` grows by design: it is a conservative superset of the
+        # caches holding each line, clean evictions and squashes are not
+        # reported to it, and it is bounded by the lines a run touches.
+        info = self.entry_or_new(line_addr)  # repro: allow SB504
         lookup = self.config.dir_lookup_cycles
 
         if info.owner is not None and info.owner != requester:
@@ -146,7 +202,7 @@ class DirectoryModule:
     def _handle_writeback(self, msg: Message) -> None:
         line_addr = msg.payload["line"]
         writer: int = msg.payload["writer"]
-        info = self.lines.get(line_addr)
+        info = self.entry(line_addr)
         if info is not None:
             if info.owner == writer:
                 info.owner = None  # memory now holds the data
@@ -160,7 +216,7 @@ class DirectoryModule:
         """Cores (other than the writer) that may cache any written line."""
         victims: Set[int] = set()
         for line_addr in written_lines:
-            info = self.lines.get(line_addr)
+            info = self.entry(line_addr)
             if info is None:
                 continue
             victims |= info.sharers
@@ -172,16 +228,18 @@ class DirectoryModule:
     def apply_commit(self, written_lines: Iterable[int], writer: int) -> None:
         """Publish a committed chunk's writes: writer becomes dirty owner."""
         for line_addr in written_lines:
-            info = self.lines.setdefault(line_addr, LineInfo())
+            info = self.entry_or_new(line_addr)
             info.sharers = {writer}
             info.owner = writer
 
     def home_lines(self, lines: Iterable[int]) -> Iterable[int]:
         """Subset of ``lines`` that this module has ever tracked."""
-        return [l for l in lines if l in self.lines]
+        return [l for l in lines
+                if l in self.lines or l in self._prewarmed]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"{type(self).__name__}(id={self.dir_id}, lines={len(self.lines)})"
+        tracked = len(self.lines) + len(self._prewarmed)
+        return f"{type(self).__name__}(id={self.dir_id}, lines={tracked})"
 
 
 # Imported at module bottom: repro.protocols.__init__ eagerly imports

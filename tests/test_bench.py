@@ -2,10 +2,13 @@
 
 import copy
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.harness import bench
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _valid_doc(calibration=1_000_000.0, jobs=1, cpus=4):
@@ -178,6 +181,23 @@ class TestMicroBenches:
         assert result["ops"] >= 512
         assert result["seconds"] > 0
         assert result["ops_per_sec"] > 0
+
+    def test_prewarm_counts_whole_machines(self):
+        one = bench.MICRO_BENCHES["prewarm"](1)
+        two = bench.MICRO_BENCHES["prewarm"](one["ops"] + 1)
+        assert two["ops"] == 2 * one["ops"]
+
+    def test_prewarm_is_not_gated_by_the_committed_baseline(self):
+        # compare_bench gates shared names only, so a baseline recorded
+        # before the prewarm bench existed still gates every other one
+        committed = json.loads((ROOT / "BENCH_2026-08-08.json").read_text())
+        assert "prewarm" not in committed["micro"]
+        new = copy.deepcopy(committed)
+        new["micro"]["prewarm"] = {"ops": 1, "seconds": 1.0,
+                                   "ops_per_sec": 1.0}
+        assert bench.compare_bench(committed, new) == []
+        new["micro"]["noc_transit"]["ops_per_sec"] /= 2
+        assert len(bench.compare_bench(committed, new)) == 1
 
     def test_run_micro_best_of_repeat(self):
         result = bench.run_micro("signature_insert", quick=True, repeat=2)

@@ -56,7 +56,7 @@ def check_sharer_superset(machine: Machine) -> None:
             home = machine.page_mapper.lookup(page)
             if home is None:
                 continue
-            info = by_home[home].lines.get(line)
+            info = by_home[home].entry(line)
             assert info is not None, (core.core_id, line)
             assert (core.core_id in info.sharers
                     or info.owner == core.core_id), (core.core_id, line)
@@ -73,7 +73,9 @@ def check_write_visibility(machine: Machine) -> None:
     # at least one chunk.
     committed_cores = {rec.core for rec in machine.protocol.stats.commits}
     for d in machine.directories:
-        for line, info in d.lines.items():
+        # every tracked line, prewarmed ones included
+        for line in [*d.lines, *d._prewarmed]:
+            info = d.entry(line)
             if info.owner is not None:
                 assert info.owner in committed_cores
 
